@@ -2,7 +2,9 @@
 // effective-field terms, steppers, FFT demag, and a full gate evaluation.
 // Not a paper table — engineering data for anyone extending the solver.
 //
-// After the micro-benchmarks, a macro comparison runs the paper-style
+// After the micro-benchmarks, one default reduced-MAJ3 row is solved
+// through the gate on the kernel path and against the scalar oracle
+// (gate_maj3_solve, active-cell-steps/s), and a macro comparison runs the paper-style
 // 8-entry MAJ truth table on the LLG backend three ways — legacy serial,
 // engine cold-cache, engine warm-cache — and prints wall time, speedup and
 // cache hit rate (also dumped to bench_engine_speedup.csv). The speedup of
@@ -240,6 +242,69 @@ void run_kernel_throughput(swsim::bench::Harness& harness) {
   harness.add_scalar("kernel_identical_output", identical ? 1.0 : 0.0);
 }
 
+// Integration steps one solve of `duration` takes at fixed step `dt`: the
+// clock arithmetic of mag::Simulation::run.
+std::uint64_t steps_per_solve(double duration, double dt) {
+  std::uint64_t n = 0;
+  for (double t = 0.0; t < duration - 1e-18; t += dt) ++n;
+  return n;
+}
+
+// One default reduced-MAJ3 row (inputs 101) through MicromagTriangleGate:
+// the paper's Table I unit of work, end to end through the gate's own
+// Simulation with its probes, demodulators and watchdogs. Timed on the
+// kernel path in active-cell-steps/s; then the full evaluation
+// (calibration + row) runs once under the forced scalar oracle and once on
+// the kernel path, and gate_identical_output is 1 only when the normalized
+// amplitudes, phases and logic bits agree to the byte.
+void run_gate_solve(swsim::bench::Harness& harness) {
+  core::MicromagGateConfig cfg;  // default reduced MAJ3, 4 nm cells
+  if (harness.quick()) cfg.cell_size = math::nm(8);
+  const std::vector<bool> row{true, false, true};
+
+  mag::kernels::set_force_reference(0);
+  mag::kernels::set_cell_jobs(1);
+  core::MicromagTriangleGate gate(cfg);
+  gate.calibrate();
+  const double cell_steps =
+      static_cast<double>(gate.body_mask().count()) *
+      static_cast<double>(steps_per_solve(gate.simulated_duration(), cfg.dt));
+  std::cout << "\ngate solve: reduced MAJ3 row 101, "
+            << gate.body_mask().count() << " magnetic of "
+            << gate.grid().cell_count() << " cells\n";
+  harness.time_case("gate_maj3_solve", [&] { gate.evaluate_full(row); },
+                    cell_steps);
+
+  const auto solve = [&](int force_mode) {
+    mag::kernels::set_force_reference(force_mode);
+    core::MicromagTriangleGate fresh(cfg);
+    return fresh.evaluate_full(row).outputs;
+  };
+  const core::FanoutOutputs oracle = solve(1);
+  const core::FanoutOutputs compact = solve(0);
+  mag::kernels::set_force_reference(-1);  // back to the SWSIM_KERNEL_REF env
+
+  const auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  const bool identical =
+      same(oracle.normalized_o1, compact.normalized_o1) &&
+      same(oracle.normalized_o2, compact.normalized_o2) &&
+      same(oracle.o1.phase, compact.o1.phase) &&
+      same(oracle.o2.phase, compact.o2.phase) &&
+      oracle.o1.logic == compact.o1.logic &&
+      oracle.o2.logic == compact.o2.logic;
+  std::cout << "oracle vs kernel path (normalized amplitude, phase, logic): "
+            << (identical ? "byte-identical" : "DIVERGED") << "\n";
+
+  double ips = 0.0;
+  for (const auto& [case_name, c] : harness.cases()) {
+    if (case_name == "gate_maj3_solve") ips = c.items_per_second;
+  }
+  harness.add_scalar("gate_cell_steps_per_second", ips);
+  harness.add_scalar("gate_identical_output", identical ? 1.0 : 0.0);
+}
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -303,9 +368,8 @@ void run_engine_comparison(swsim::bench::Harness& harness) {
 
   // Snapshot the run profile while the registry is still armed — it embeds
   // in BENCH_solver_perf.json as the machine-readable record of this pass.
-  const std::uint64_t cells =
-      static_cast<std::uint64_t>(serial_gate.grid().nx()) *
-      static_cast<std::uint64_t>(serial_gate.grid().ny());
+  // Magnetic cells: every cell_steps_per_second is active-cell-steps/s.
+  const std::uint64_t cells = serial_gate.body_mask().count();
   const obs::RunProfile profile =
       obs::RunProfile::collect(serial_s + cold_s + warm_s, cells);
   harness.set_profile_json(profile.to_json());
@@ -391,6 +455,7 @@ int main(int argc, char** argv) {
   }
   benchmark::Shutdown();
   run_kernel_throughput(harness);
+  run_gate_solve(harness);
   run_engine_comparison(harness);
   return harness.finish() ? 0 : 1;
 }

@@ -72,6 +72,22 @@ KREF_TESTS=(test_mag_kernels test_mag_llg test_mag_simulation
 for t in "${KREF_TESTS[@]}"; do
   SWSIM_KERNEL_REF=1 "${BUILD_DIR}/tests/${t}"
 done
+# End to end on the probe stream, which the kernel path samples from its
+# slot-indexed resident state: one default MAJ3 solve recorded under the
+# scalar oracle, on the default path, and with 4 intra-solve jobs must
+# give byte-identical CSVs.
+PROBE_CMP_DIR="${BUILD_DIR}/probe-cmp"
+rm -rf "${PROBE_CMP_DIR}"
+mkdir -p "${PROBE_CMP_DIR}"
+SWSIM_KERNEL_REF=1 "${BUILD_DIR}/cli/swsim" probe record --pattern 101 \
+  --out "${PROBE_CMP_DIR}/oracle.csv" >/dev/null
+SWSIM_KERNEL_REF=0 "${BUILD_DIR}/cli/swsim" probe record --pattern 101 \
+  --out "${PROBE_CMP_DIR}/kernel.csv" >/dev/null
+SWSIM_KERNEL_REF=0 SWSIM_CELL_JOBS=4 "${BUILD_DIR}/cli/swsim" probe record \
+  --pattern 101 --out "${PROBE_CMP_DIR}/kernel_jobs4.csv" >/dev/null
+cmp "${PROBE_CMP_DIR}/oracle.csv" "${PROBE_CMP_DIR}/kernel.csv"
+cmp "${PROBE_CMP_DIR}/oracle.csv" "${PROBE_CMP_DIR}/kernel_jobs4.csv"
+echo "stage 1b: probe record CSVs byte-identical (oracle, kernel, 4 cell jobs)"
 
 if [[ "${SWSIM_CHECK_SKIP_TSAN:-0}" == "1" ]]; then
   echo "== stage 2: TSan skipped (SWSIM_CHECK_SKIP_TSAN=1) =="
@@ -484,6 +500,8 @@ else
     > "${PROBE_DIR}/full.txt" 2>&1
   grep -q '"physics"' "${PROBE_DIR}/profile.json"
   grep -q '"converged_at": *[0-9]' "${PROBE_DIR}/profile.json"
+  # Throughput counts magnetic cells: the default MAJ3 gate has 1103.
+  grep -q '"cells": 1103,' "${PROBE_DIR}/profile.json"
 
   # Early stop must actually save integration steps, and the saved steps
   # must be free: the detected logic table is identical to the full run.

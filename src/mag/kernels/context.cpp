@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "engine/thread_pool.h"
 #include "mag/kernels/runtime.h"
@@ -9,6 +10,7 @@
 #include "math/constants.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
+#include "robust/watchdog.h"
 
 namespace swsim::mag::kernels {
 
@@ -16,7 +18,7 @@ using swsim::math::kTwoPi;
 
 SolveContext::SolveContext(std::unique_ptr<KernelPlan> plan)
     : plan_(std::move(plan)) {
-  const std::size_t n = plan_->n;
+  const std::size_t n = plan_->slots();
   m_.assign_zero(n);
   tmp_.assign_zero(n);
   k1_.assign_zero(n);
@@ -43,6 +45,45 @@ void SolveContext::pfor(std::size_t n, std::size_t grain,
   } else if (n > 0) {
     fn(0, n);
   }
+}
+
+void SolveContext::load_m(const swsim::math::VectorField& m) {
+  gather(m_, m, plan_->active);
+  advanced_ = false;
+}
+
+void SolveContext::store_m(swsim::math::VectorField& m) {
+  if (advanced_) {
+    // x + 0.0 over the whole grid: -0.0 becomes +0.0, every other value
+    // (vacuum or not — magnetic cells are overwritten next) is unchanged.
+    for (swsim::math::Vec3& v : m.data()) {
+      v.x += 0.0;
+      v.y += 0.0;
+      v.z += 0.0;
+    }
+    advanced_ = false;
+  }
+  scatter(m_, m, plan_->active);
+}
+
+void SolveContext::poke_nan() {
+  if (plan_->slots() > 0) m_.x[0] = std::numeric_limits<double>::quiet_NaN();
+}
+
+robust::Status SolveContext::scan(double norm_drift_tol) const {
+  for (std::size_t s = 0; s < plan_->slots(); ++s) {
+    const swsim::math::Vec3 v{m_.x[s], m_.y[s], m_.z[s]};
+    if (!robust::cell_healthy(v, norm_drift_tol)) {
+      return robust::cell_fault(v, plan_->active[s], norm_drift_tol);
+    }
+  }
+  return robust::Status::ok();
+}
+
+void SolveContext::renormalize() {
+  pfor(plan_->slots(), kSlotGrain, [&](std::size_t b, std::size_t e) {
+    renormalize_range(m_, b, e);
+  });
 }
 
 void SolveContext::resolve_ops(double t) {
@@ -95,7 +136,7 @@ void SolveContext::resolve_ops(double t) {
 
 void SolveContext::eval(const SoaVec& state, double t, SoaVec& dmdt) {
   resolve_ops(t);
-  const std::size_t slots = plan_->active.size();
+  const std::size_t slots = plan_->slots();
   const bool sampled = obs::metrics_armed() && !plan_->ops.empty() &&
                        (eval_count_ % kSamplePeriod == 0);
   ++eval_count_;
@@ -104,7 +145,7 @@ void SolveContext::eval(const SoaVec& state, double t, SoaVec& dmdt) {
     // Per-term sweeps into the field buffer, each op timed for the
     // "mag.term.<name>.us" attribution. Bit-exact with the fused sweep:
     // identical per-cell accumulation order, just staged through memory.
-    h_.assign_zero(plan_->n);
+    h_.assign_zero(slots);
     for (std::size_t o = 0; o < eval_ops_.size(); ++o) {
       const double t0 = obs::now_us();
       const EvalOp& op = eval_ops_[o];
@@ -129,7 +170,7 @@ void SolveContext::eval(const SoaVec& state, double t, SoaVec& dmdt) {
 
   // Fused path. The parallel domain is interior cells (run table order)
   // followed by edge slots; chunk boundaries depend only on the plan, so
-  // any thread count slices the same work the same way, and every cell is
+  // any thread count slices the same work the same way, and every slot is
   // written by exactly one chunk.
   const std::size_t interior = plan_->interior_total;
   const std::size_t domain = interior + plan_->edge_slots.size();
@@ -145,8 +186,7 @@ void SolveContext::eval(const SoaVec& state, double t, SoaVec& dmdt) {
         const std::size_t off = pos - pre[r];
         const std::size_t take =
             std::min(ie - pos, (run.e - run.b) - off);
-        fused_run(*plan_, state, eval_ops_, dmdt, run.b + off,
-                  run.b + off + take, run.antenna);
+        fused_run(*plan_, state, eval_ops_, dmdt, run, off, off + take);
         pos += take;
         ++r;
       }
@@ -160,19 +200,19 @@ void SolveContext::eval(const SoaVec& state, double t, SoaVec& dmdt) {
 
 void SolveContext::stage1(SoaVec& out, const SoaVec& base, double s,
                           const SoaVec& k) {
-  pfor(plan_->n, kFlatGrain, [&](std::size_t b, std::size_t e) {
+  pfor(plan_->slots(), kSlotGrain, [&](std::size_t b, std::size_t e) {
     axpy(out, base, s, k, b, e);
   });
 }
 
 double SolveContext::err_max(double h, const double (&c)[5],
                              const SoaVec* const (&k)[5]) {
-  const std::size_t n = plan_->n;
+  const std::size_t n = plan_->slots();
   if (n == 0) return 0.0;
-  const std::size_t chunks = (n + kFlatGrain - 1) / kFlatGrain;
+  const std::size_t chunks = (n + kSlotGrain - 1) / kSlotGrain;
   std::vector<double> partial(chunks, 0.0);
-  pfor(n, kFlatGrain, [&](std::size_t b, std::size_t e) {
-    partial[b / kFlatGrain] = err_max_range(h, c, k, b, e);
+  pfor(n, kSlotGrain, [&](std::size_t b, std::size_t e) {
+    partial[b / kSlotGrain] = err_max_range(h, c, k, b, e);
   });
   // Chunk-order fold; max of non-NaN partials is schedule-independent.
   double worst = 0.0;

@@ -1,8 +1,16 @@
-// Per-stepper solve context: a compiled KernelPlan plus every SoA scratch
-// buffer a stepper needs (state, stage buffers k1..k6, one field buffer
-// for the sampled per-term path). Owning the buffers here is itself a win:
-// the reference steppers allocate and zero up to seven grid-sized
-// VectorFields per step; the context allocates once per solve.
+// Per-stepper solve context: a compiled KernelPlan plus the slot-indexed
+// solver state (m_) and every SoA scratch buffer a stepper needs (tmp_,
+// stage buffers k1..k6, one field buffer for the sampled per-term path).
+// Every buffer holds one entry per active slot, and every loop here —
+// field eval, stage combination, error norm, renormalization, health scan
+// — sweeps slots only.
+//
+// The state is resident: Simulation::run gathers the AoS magnetization
+// into m_ once (load_m), steps it for the whole solve, and scatters it
+// back (store_m) only at the boundaries where the AoS field is read — the
+// energy-watchdog cadence, the end of the run, and any exception leaving
+// it. Stepper::step keeps a gather/step/scatter wrapper for callers that
+// own an AoS field.
 //
 // The context is cached by Stepper and rebuilt when its plan goes stale
 // (different System, mutated per-cell fields, changed term set) — see
@@ -17,6 +25,7 @@
 #include "mag/kernels/plan.h"
 #include "mag/kernels/soa.h"
 #include "mag/kernels/sweep.h"
+#include "robust/status.h"
 
 namespace swsim::mag::kernels {
 
@@ -34,9 +43,15 @@ class SolveContext {
 
   const KernelPlan& plan() const { return *plan_; }
 
-  // AoS <-> SoA at the step boundary.
-  void load_m(const swsim::math::VectorField& m) { load(m_, m); }
-  void store_m(swsim::math::VectorField& m) const { store(m_, m); }
+  // AoS <-> slot state at the solve boundary: load_m gathers the magnetic
+  // cells into m_; store_m scatters them back. Vacuum cells are never
+  // integrated. The reference steppers add an exact +0.0 to them on every
+  // accepted step — the identity for every value but -0.0 — so once
+  // mark_advanced() has been called since the last load/store, store_m
+  // replays that addition over the grid before scattering.
+  void load_m(const swsim::math::VectorField& m);
+  void store_m(swsim::math::VectorField& m);
+  void mark_advanced() { advanced_ = true; }
 
   // One effective-field + rhs evaluation of `state` at time t into dmdt.
   // When metrics are armed, every kSamplePeriod-th evaluation runs the
@@ -44,28 +59,36 @@ class SolveContext {
   // sweep — both are bit-exact, so sampling never perturbs the physics.
   void eval(const SoaVec& state, double t, SoaVec& dmdt);
 
-  // out = base + k * s over the full grid (chunked when parallel).
+  // out = base + k * s over every slot (chunked when parallel).
   void stage1(SoaVec& out, const SoaVec& base, double s, const SoaVec& k);
 
-  // out = base + (c0*k0 + ...) * h over the full grid.
+  // out = base + (c0*k0 + ...) * h over every slot.
   template <int N>
   void combine(SoaVec& out, const SoaVec& base, double h, const double (&c)[N],
                const SoaVec* const (&k)[N]) {
-    pfor(plan_->n, kFlatGrain,
-         [&](std::size_t b, std::size_t e) { combine_range(out, base, h, c, k, b, e); });
+    pfor(plan_->slots(), kSlotGrain, [&](std::size_t b, std::size_t e) {
+      combine_range(out, base, h, c, k, b, e);
+    });
   }
 
-  // RKF45 max-norm error of h * (c0*k0 + ... + c4*k4) over the full grid;
+  // RKF45 max-norm error of h * (c0*k0 + ... + c4*k4) over every slot;
   // per-chunk maxima are folded in chunk order.
   double err_max(double h, const double (&c)[5], const SoaVec* const (&k)[5]);
+
+  // Step tail on the resident state. poke_nan poisons the first magnetic
+  // cell (the fault-injection hook); scan is robust::scan_magnetization
+  // over the slots, reporting the grid cell index; renormalize is
+  // mag::renormalize.
+  void poke_nan();
+  robust::Status scan(double norm_drift_tol) const;
+  void renormalize();
 
   // State and stage buffers, exposed to the stepper loops in llg.cpp.
   SoaVec m_, tmp_, k1_, k2_, k3_, k4_, k5_, k6_;
 
-  // Fixed chunk sizes — part of the determinism contract: boundaries
-  // depend on the grid, never on the job count.
-  static constexpr std::size_t kSlotGrain = 1024;  // active-cell chunks
-  static constexpr std::size_t kFlatGrain = 4096;  // full-grid chunks
+  // Fixed chunk size — part of the determinism contract: boundaries
+  // depend on the plan, never on the job count.
+  static constexpr std::size_t kSlotGrain = 1024;
   static constexpr std::uint64_t kSamplePeriod = 16;  // per-term timing
 
  private:
@@ -81,6 +104,27 @@ class SolveContext {
   std::vector<EvalOp> eval_ops_;
   SoaVec h_;                  // per-term path field buffer
   std::uint64_t eval_count_ = 0;
+  bool advanced_ = false;     // m_ stepped since the last load/store
+};
+
+// Scatters a context's slot state back to an AoS field on sync() and when
+// it goes out of scope — every exit path, exceptions included. A null
+// context (the reference path, which steps the AoS field itself) makes
+// both no-ops.
+class ScatterOnExit {
+ public:
+  ScatterOnExit(SolveContext* c, swsim::math::VectorField& m) : c_(c), m_(m) {}
+  ~ScatterOnExit() { sync(); }
+  ScatterOnExit(const ScatterOnExit&) = delete;
+  ScatterOnExit& operator=(const ScatterOnExit&) = delete;
+
+  void sync() {
+    if (c_) c_->store_m(m_);
+  }
+
+ private:
+  SolveContext* c_;
+  swsim::math::VectorField& m_;
 };
 
 }  // namespace swsim::mag::kernels

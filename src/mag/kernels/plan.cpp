@@ -57,25 +57,29 @@ std::unique_ptr<KernelPlan> build_plan(
   plan->sys = &sys;
   plan->revision = sys.revision();
   plan->mask = sys.mask();
-  plan->n = n;
 
   const auto& mask = sys.mask();
   plan->active.reserve(sys.magnetic_cell_count());
+  // slot_of[i]: grid index -> slot, valid on active cells only.
+  std::vector<std::uint32_t> slot_of(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    if (mask[i]) plan->active.push_back(static_cast<std::uint32_t>(i));
+    if (mask[i]) {
+      slot_of[i] = static_cast<std::uint32_t>(plan->active.size());
+      plan->active.push_back(static_cast<std::uint32_t>(i));
+    }
   }
   const std::size_t slots = plan->active.size();
 
-  plan->alpha.resize(n);
-  plan->llg_pref.resize(n);
-  plan->ms.resize(n);
+  plan->alpha.resize(slots);
+  plan->llg_pref.resize(slots);
+  plan->ms.resize(slots);
   for (std::size_t s = 0; s < slots; ++s) {
     const std::size_t i = plan->active[s];
     const double alpha = sys.alpha_at(i);
-    plan->alpha[i] = alpha;
+    plan->alpha[s] = alpha;
     // Exactly the reference path's expression, precomputed per cell.
-    plan->llg_pref[i] = -kGamma * kMu0 / (1.0 + alpha * alpha);
-    plan->ms[i] = sys.ms_at(i);
+    plan->llg_pref[s] = -kGamma * kMu0 / (1.0 + alpha * alpha);
+    plan->ms[s] = sys.ms_at(i);
   }
 
   const std::size_t nx = g.nx(), ny = g.ny(), nz = g.nz();
@@ -96,9 +100,9 @@ std::unique_ptr<KernelPlan> build_plan(
              : 0;
 
   if (plan->has_exchange) {
-    // Six neighbour indices per active cell, reference traversal order
+    // Six neighbour slots per slot, reference traversal order
     // -x,+x,-y,+y,-z,+z, for the edge/term-sweep paths. Absent or vacuum
-    // neighbours get the cell's own index: (m[i] - m[i]) * w is an exact
+    // neighbours get the cell's own slot: (m[s] - m[s]) * w is an exact
     // +0.0 contribution, bit-identical to the reference skipping it.
     plan->nb.resize(6 * slots);
     for (std::size_t s = 0; s < slots; ++s) {
@@ -106,9 +110,9 @@ std::unique_ptr<KernelPlan> build_plan(
       const auto xyz = g.unindex(i);
       const std::size_t x = xyz.x, y = xyz.y, z = xyz.z;
       std::uint32_t* nbp = &plan->nb[6 * s];
-      for (int k = 0; k < 6; ++k) nbp[k] = static_cast<std::uint32_t>(i);
+      for (int k = 0; k < 6; ++k) nbp[k] = static_cast<std::uint32_t>(s);
       auto set = [&](int k, std::size_t j) {
-        if (mask[j]) nbp[k] = static_cast<std::uint32_t>(j);
+        if (mask[j]) nbp[k] = slot_of[j];
       };
       if (x > 0) set(0, g.index(x - 1, y, z));
       if (x + 1 < nx) set(1, g.index(x + 1, y, z));
@@ -138,6 +142,19 @@ std::unique_ptr<KernelPlan> build_plan(
             KernelPlan::Run run;
             run.b = static_cast<std::uint32_t>(run_b);
             run.e = static_cast<std::uint32_t>(run_b + run_len);
+            run.s = slot_of[run_b];
+            for (std::uint32_t& base : run.nb) base = run.s;
+            if (plan->has_exchange) {
+              // Every neighbour of every run cell is active, so each
+              // neighbour span is a contiguous slot range: its base is the
+              // slot of the first cell's neighbour.
+              for (int a = 0; a < 3; ++a) {
+                if (!plan->axis_used[a]) continue;
+                const std::ptrdiff_t st = plan->axis_stride[a];
+                run.nb[2 * a] = slot_of[run_b - st];
+                run.nb[2 * a + 1] = slot_of[run_b + st];
+              }
+            }
             plan->runs.push_back(run);
             std::fill(covered.begin() + run.b, covered.begin() + run.e, 1);
           }
@@ -182,22 +199,26 @@ std::unique_ptr<KernelPlan> build_plan(
     }
   }
 
+  // Antenna region lists move from grid indices to slots: region ∧ mask
+  // cells are active by construction, and slot order keeps them ascending.
+  for (TermOp& op : plan->ops) {
+    if (op.kind != OpKind::kAntenna) continue;
+    for (std::uint32_t& c : op.cells) c = slot_of[c];
+  }
+
   if (plan->fused_ok && antennas > 0) {
-    // slot_of[i]: grid index -> active slot, for marking coverage bits.
-    std::vector<std::uint32_t> slot_of(n, 0);
-    for (std::size_t s = 0; s < slots; ++s) slot_of[plan->active[s]] = s;
     plan->antenna_bits.assign(slots, 0);
     std::uint8_t bit = 1;
     for (TermOp& op : plan->ops) {
       if (op.kind != OpKind::kAntenna) continue;
-      op.gate.assign(n, 0.0);
-      for (const std::uint32_t i : op.cells) {
-        plan->antenna_bits[slot_of[i]] |= bit;
-        op.gate[i] = 1.0;
+      op.gate.assign(slots, 0.0);
+      for (const std::uint32_t s : op.cells) {
+        plan->antenna_bits[s] |= bit;
+        op.gate[s] = 1.0;
       }
       for (auto& run : plan->runs) {
-        for (std::size_t i = run.b; i < run.e; ++i) {
-          if (op.gate[i] != 0.0) {
+        for (std::size_t s = run.s; s < run.s + (run.e - run.b); ++s) {
+          if (op.gate[s] != 0.0) {
             run.antenna |= bit;
             break;
           }

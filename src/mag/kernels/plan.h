@@ -1,28 +1,32 @@
 // The kernel plan: everything about a (System, term set) pair that can be
 // precomputed once and reused every step.
 //
-//   * the active-cell index list (masked cells, ascending) — sweeps and
-//     renormalization stop paying for vacuum cells;
-//   * full-grid per-cell alpha, the LLG prefactor -gamma mu0/(1+alpha^2),
-//     and the local Ms (for the thin-film demag op), indexed by flat cell
-//     so both the contiguous SIMD runs and the slot-indexed edge path can
-//     read them directly;
-//   * the exchange neighbour table for edge cells: six indices per active
-//     slot in the reference path's -x,+x,-y,+y,-z,+z order, with a
-//     self-index for absent/vacuum neighbours (the self term contributes
-//     an exact +0.0, bit-identical to skipping the neighbour); weights are
-//     the three per-axis 1/d^2 constants, not per-neighbour loads;
-//   * the interior-run table: maximal stride-1 cell ranges whose every
-//     existing-axis neighbour is active. Interior cells take the fused
-//     SIMD sweep (direct ±stride addressing, no tables); everything else
-//     is an "edge" slot on the scalar table path. Both paths execute the
-//     identical per-cell operation sequence, so the split is invisible in
-//     the output bytes;
+// The unit of the plan is the *active slot*: slot s is the s-th magnetic
+// cell in ascending grid order (`active[s]` is its grid index). Solver
+// state and every per-cell table below are indexed by slot, so stage,
+// field, and tail loops sweep only the magnet, never vacuum.
+//
+//   * per-slot alpha, the LLG prefactor -gamma mu0/(1+alpha^2), and the
+//     local Ms (for the thin-film demag op);
+//   * the exchange neighbour table for edge slots: six slot indices per
+//     slot in the reference path's -x,+x,-y,+y,-z,+z order, with the
+//     self-slot standing in for absent/vacuum neighbours (the self term
+//     contributes an exact +0.0, bit-identical to skipping the neighbour);
+//     weights are the three per-axis 1/d^2 constants, not per-neighbour
+//     loads;
+//   * the interior-run table: maximal stride-1 x ranges whose every
+//     existing-axis neighbour is active. A run is contiguous in slot order,
+//     and because every neighbour of an interior cell is active, so are
+//     its -y/+y (and -z/+z) neighbour spans: each run stores the slot base
+//     of all six spans, and the fused SIMD sweep addresses neighbours as
+//     base + offset with no tables. Everything else is an "edge" slot on
+//     the scalar table path. Both paths execute the identical per-cell
+//     operation sequence, so the split is invisible in the output bytes;
 //   * the lowered TermOps in term order, plus per-op metric counters for
 //     the sampled "mag.term.<name>.us" attribution;
-//   * per-active-cell antenna coverage bitmask (bit a = cell driven by the
-//     a-th antenna op) for the edge path, and per-run coverage bits so
-//     runs outside every antenna region skip the term entirely.
+//   * per-slot antenna coverage bitmask (bit a = cell driven by the a-th
+//     antenna op) for the edge path, and per-run coverage bits so runs
+//     outside every antenna region skip the term entirely.
 //
 // build_plan returns nullptr when any term refuses to compile; the solver
 // then stays on the scalar reference path for this term set.
@@ -53,24 +57,28 @@ struct KernelPlan {
   swsim::math::Mask mask;
   std::vector<const FieldTerm*> term_sig;
 
-  std::size_t n = 0;                   // full grid cell count
-  std::vector<std::uint32_t> active;   // masked cells, ascending
-  std::vector<double> alpha;           // per flat cell (active cells valid)
-  std::vector<double> llg_pref;        // per flat cell (active cells valid)
-  std::vector<double> ms;              // per flat cell (active cells valid)
+  std::vector<std::uint32_t> active;   // slot -> grid index, ascending
+  std::vector<double> alpha;           // per slot
+  std::vector<double> llg_pref;        // per slot
+  std::vector<double> ms;              // per slot
 
   bool has_exchange = false;
-  std::vector<std::uint32_t> nb;       // 6 per active slot (edge/term path)
+  std::vector<std::uint32_t> nb;       // 6 slot indices per slot
   double inv_d2[3] = {0.0, 0.0, 0.0};  // per-axis 1/dx^2, 1/dy^2, 1/dz^2
   bool axis_used[3] = {false, false, false};    // grid dimension > 1
   std::ptrdiff_t axis_stride[3] = {0, 0, 0};    // flat index step per axis
 
-  // Interior runs: [b, e) flat ranges, stride-1 contiguous, every cell
-  // active with all existing-axis neighbours active. `antenna` has bit a
-  // set when the a-th antenna op drives at least one cell of the run.
+  // Interior runs: grid cells [b, e) = slots [s, s + (e - b)), every cell
+  // active with all existing-axis neighbours active. nb[2a] / nb[2a + 1]
+  // is the slot of the -axis / +axis neighbour of the run's first cell;
+  // the neighbour of cell b + k sits at nb[...] + k (unused axes, and
+  // runs without an exchange op, hold s). `antenna` has bit a set when
+  // the a-th antenna op drives at least one cell of the run.
   struct Run {
     std::uint32_t b = 0;
     std::uint32_t e = 0;
+    std::uint32_t s = 0;
+    std::uint32_t nb[6] = {0, 0, 0, 0, 0, 0};
     std::uint8_t antenna = 0;
   };
   std::vector<Run> runs;
@@ -84,8 +92,10 @@ struct KernelPlan {
   // Fused-sweep antenna coverage; valid iff fused_ok (at most 8 antennas,
   // one bit each). With more antennas the context falls back to per-term
   // kernel sweeps, which are still bit-exact and index-list driven.
-  std::vector<std::uint8_t> antenna_bits;
+  std::vector<std::uint8_t> antenna_bits;  // per slot
   bool fused_ok = false;
+
+  std::size_t slots() const { return active.size(); }
 
   bool matches(const System& sys,
                const std::vector<std::unique_ptr<FieldTerm>>& terms) const;

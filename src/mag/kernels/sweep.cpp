@@ -76,6 +76,14 @@ struct ScalarLane {
   friend ScalarLane operator*(ScalarLane a, ScalarLane b) {
     return {a.v * b.v};
   }
+  friend ScalarLane operator/(ScalarLane a, ScalarLane b) {
+    return {a.v / b.v};
+  }
+  static ScalarLane sqrt(ScalarLane a) { return {std::sqrt(a.v)}; }
+  // a where n > 0 (false for NaN), b elsewhere.
+  static ScalarLane select_pos(ScalarLane n, ScalarLane a, ScalarLane b) {
+    return n.v > 0.0 ? a : b;
+  }
   // h + d where the gate is nonzero; h's bits untouched elsewhere.
   static ScalarLane gated_add(ScalarLane h, ScalarLane gate, ScalarLane d) {
     return gate.v != 0.0 ? ScalarLane{h.v + d.v} : h;
@@ -99,6 +107,14 @@ struct SimdLane {
   }
   friend SimdLane operator*(SimdLane a, SimdLane b) {
     return {_mm256_mul_pd(a.v, b.v)};
+  }
+  friend SimdLane operator/(SimdLane a, SimdLane b) {
+    return {_mm256_div_pd(a.v, b.v)};
+  }
+  static SimdLane sqrt(SimdLane a) { return {_mm256_sqrt_pd(a.v)}; }
+  static SimdLane select_pos(SimdLane n, SimdLane a, SimdLane b) {
+    const __m256d pos = _mm256_cmp_pd(n.v, _mm256_setzero_pd(), _CMP_GT_OQ);
+    return {_mm256_blendv_pd(b.v, a.v, pos)};
   }
   static SimdLane gated_add(SimdLane h, SimdLane gate, SimdLane d) {
     const __m256d on =
@@ -124,6 +140,14 @@ struct SimdLane {
   }
   friend SimdLane operator*(SimdLane a, SimdLane b) {
     return {_mm_mul_pd(a.v, b.v)};
+  }
+  friend SimdLane operator/(SimdLane a, SimdLane b) {
+    return {_mm_div_pd(a.v, b.v)};
+  }
+  static SimdLane sqrt(SimdLane a) { return {_mm_sqrt_pd(a.v)}; }
+  static SimdLane select_pos(SimdLane n, SimdLane a, SimdLane b) {
+    const __m128d pos = _mm_cmpgt_pd(n.v, _mm_setzero_pd());
+    return {_mm_or_pd(_mm_and_pd(pos, a.v), _mm_andnot_pd(pos, b.v))};
   }
   static SimdLane gated_add(SimdLane h, SimdLane gate, SimdLane d) {
     const __m128d on = _mm_cmpneq_pd(gate.v, _mm_setzero_pd());
@@ -154,20 +178,21 @@ inline void llg_lanes(V mx, V my, V mz, V hx, V hy, V hz, V alpha, V pref,
   oz = (cz + tz * alpha) * pref;
 }
 
-// One interior block of V::kWidth cells starting at flat index i:
-// accumulate every op in term order, then the rhs. Interior cells have
-// every existing-axis neighbour in bounds and active, so exchange reads
-// m at i ± axis_stride directly.
+// One interior block of V::kWidth cells at offset k of `run`: accumulate
+// every op in term order, then the rhs. Interior cells have every
+// existing-axis neighbour in bounds and active, and each neighbour span is
+// contiguous in slot order, so exchange reads m at span base + k directly.
 template <class V>
 inline void fused_block(const KernelPlan& p, const double* __restrict mx,
                         const double* __restrict my,
                         const double* __restrict mz, const EvalOp* ops,
-                        std::size_t nops, std::uint8_t run_antenna,
+                        std::size_t nops, const KernelPlan::Run& run,
                         double* __restrict ox, double* __restrict oy,
-                        double* __restrict oz, std::size_t i) {
-  const V mix = V::load(mx + i);
-  const V miy = V::load(my + i);
-  const V miz = V::load(mz + i);
+                        double* __restrict oz, std::size_t k) {
+  const std::size_t s = run.s + k;
+  const V mix = V::load(mx + s);
+  const V miy = V::load(my + s);
+  const V miz = V::load(mz + s);
   V hx = V::zero(), hy = V::zero(), hz = V::zero();
   for (std::size_t o = 0; o < nops; ++o) {
     const EvalOp& op = ops[o];
@@ -176,14 +201,15 @@ inline void fused_block(const KernelPlan& p, const double* __restrict mx,
         V lx = V::zero(), ly = V::zero(), lz = V::zero();
         for (int a = 0; a < 3; ++a) {
           if (!p.axis_used[a]) continue;
-          const std::ptrdiff_t st = p.axis_stride[a];
+          const std::size_t lo = run.nb[2 * a] + k;
+          const std::size_t hi = run.nb[2 * a + 1] + k;
           const V w = V::set1(p.inv_d2[a]);
-          lx = lx + (V::load(mx + i - st) - mix) * w;
-          ly = ly + (V::load(my + i - st) - miy) * w;
-          lz = lz + (V::load(mz + i - st) - miz) * w;
-          lx = lx + (V::load(mx + i + st) - mix) * w;
-          ly = ly + (V::load(my + i + st) - miy) * w;
-          lz = lz + (V::load(mz + i + st) - miz) * w;
+          lx = lx + (V::load(mx + lo) - mix) * w;
+          ly = ly + (V::load(my + lo) - miy) * w;
+          lz = lz + (V::load(mz + lo) - miz) * w;
+          lx = lx + (V::load(mx + hi) - mix) * w;
+          ly = ly + (V::load(my + hi) - miy) * w;
+          lz = lz + (V::load(mz + hi) - miz) * w;
         }
         const V pref = V::set1(op.pref);
         hx = hx + lx * pref;
@@ -203,7 +229,7 @@ inline void fused_block(const KernelPlan& p, const double* __restrict mx,
         break;
       }
       case OpKind::kThinFilmDemag:
-        hz = hz - V::load(p.ms.data() + i) * miz;
+        hz = hz - V::load(p.ms.data() + s) * miz;
         break;
       case OpKind::kUniformZeeman:
         hx = hx + V::set1(op.dx);
@@ -211,8 +237,8 @@ inline void fused_block(const KernelPlan& p, const double* __restrict mx,
         hz = hz + V::set1(op.dz);
         break;
       case OpKind::kAntenna:
-        if (!op.skip && (run_antenna & op.bit)) {
-          const V g = V::load(op.gate->data() + i);
+        if (!op.skip && (run.antenna & op.bit)) {
+          const V g = V::load(op.gate->data() + s);
           hx = V::gated_add(hx, g, V::set1(op.dx));
           hy = V::gated_add(hy, g, V::set1(op.dy));
           hz = V::gated_add(hz, g, V::set1(op.dz));
@@ -221,18 +247,30 @@ inline void fused_block(const KernelPlan& p, const double* __restrict mx,
     }
   }
   V rx, ry, rz;
-  llg_lanes(mix, miy, miz, hx, hy, hz, V::load(p.alpha.data() + i),
-            V::load(p.llg_pref.data() + i), rx, ry, rz);
-  rx.store(ox + i);
-  ry.store(oy + i);
-  rz.store(oz + i);
+  llg_lanes(mix, miy, miz, hx, hy, hz, V::load(p.alpha.data() + s),
+            V::load(p.llg_pref.data() + s), rx, ry, rz);
+  rx.store(ox + s);
+  ry.store(oy + s);
+  rz.store(oz + s);
+}
+
+// math::normalized on one lane-block of slots starting at s:
+// n = sqrt(x*x + y*y + z*z), then v / n where n > 0.
+template <class V>
+inline void renorm_block(double* __restrict x, double* __restrict y,
+                         double* __restrict z, std::size_t s) {
+  const V vx = V::load(x + s), vy = V::load(y + s), vz = V::load(z + s);
+  const V n = V::sqrt(vx * vx + vy * vy + vz * vz);
+  V::select_pos(n, vx / n, vx).store(x + s);
+  V::select_pos(n, vy / n, vy).store(y + s);
+  V::select_pos(n, vz / n, vz).store(z + s);
 }
 
 }  // namespace
 
 void fused_run(const KernelPlan& p, const SoaVec& m,
-               const std::vector<EvalOp>& ops, SoaVec& dmdt, std::size_t fb,
-               std::size_t fe, std::uint8_t run_antenna) {
+               const std::vector<EvalOp>& ops, SoaVec& dmdt,
+               const KernelPlan::Run& run, std::size_t kb, std::size_t ke) {
   const double* mx = m.x.data();
   const double* my = m.y.data();
   const double* mz = m.z.data();
@@ -241,21 +279,18 @@ void fused_run(const KernelPlan& p, const SoaVec& m,
   double* oz = dmdt.z.data();
   const EvalOp* op0 = ops.data();
   const std::size_t nops = ops.size();
-  std::size_t i = fb;
-  for (; i + SimdLane::kWidth <= fe; i += SimdLane::kWidth) {
-    fused_block<SimdLane>(p, mx, my, mz, op0, nops, run_antenna, ox, oy, oz,
-                          i);
+  std::size_t k = kb;
+  for (; k + SimdLane::kWidth <= ke; k += SimdLane::kWidth) {
+    fused_block<SimdLane>(p, mx, my, mz, op0, nops, run, ox, oy, oz, k);
   }
-  for (; i < fe; ++i) {
-    fused_block<ScalarLane>(p, mx, my, mz, op0, nops, run_antenna, ox, oy, oz,
-                            i);
+  for (; k < ke; ++k) {
+    fused_block<ScalarLane>(p, mx, my, mz, op0, nops, run, ox, oy, oz, k);
   }
 }
 
 void fused_edge(const KernelPlan& p, const SoaVec& m,
                 const std::vector<EvalOp>& ops, SoaVec& dmdt, std::size_t eb,
                 std::size_t ee) {
-  const std::uint32_t* act = p.active.data();
   const std::uint32_t* edge = p.edge_slots.data();
   const double* mx = m.x.data();
   const double* my = m.y.data();
@@ -264,8 +299,7 @@ void fused_edge(const KernelPlan& p, const SoaVec& m,
   const std::size_t nops = ops.size();
   for (std::size_t j = eb; j < ee; ++j) {
     const std::size_t s = edge[j];
-    const std::size_t i = act[s];
-    const double mix = mx[i], miy = my[i], miz = mz[i];
+    const double mix = mx[s], miy = my[s], miz = mz[s];
     double hx = 0.0, hy = 0.0, hz = 0.0;
     for (std::size_t o = 0; o < nops; ++o) {
       const EvalOp& op = op0[o];
@@ -274,11 +308,11 @@ void fused_edge(const KernelPlan& p, const SoaVec& m,
           const std::uint32_t* nbp = &p.nb[6 * s];
           double lx = 0.0, ly = 0.0, lz = 0.0;
           for (int k = 0; k < 6; ++k) {
-            const std::size_t j2 = nbp[k];
+            const std::size_t s2 = nbp[k];
             const double w = p.inv_d2[k >> 1];
-            lx += (mx[j2] - mix) * w;
-            ly += (my[j2] - miy) * w;
-            lz += (mz[j2] - miz) * w;
+            lx += (mx[s2] - mix) * w;
+            ly += (my[s2] - miy) * w;
+            lz += (mz[s2] - miz) * w;
           }
           hx += lx * op.pref;
           hy += ly * op.pref;
@@ -294,7 +328,7 @@ void fused_edge(const KernelPlan& p, const SoaVec& m,
           break;
         }
         case OpKind::kThinFilmDemag:
-          hz -= p.ms[i] * miz;
+          hz -= p.ms[s] * miz;
           break;
         case OpKind::kUniformZeeman:
           hx += op.dx;
@@ -313,16 +347,15 @@ void fused_edge(const KernelPlan& p, const SoaVec& m,
     ScalarLane rx, ry, rz;
     llg_lanes(ScalarLane{mix}, ScalarLane{miy}, ScalarLane{miz},
               ScalarLane{hx}, ScalarLane{hy}, ScalarLane{hz},
-              ScalarLane{p.alpha[i]}, ScalarLane{p.llg_pref[i]}, rx, ry, rz);
-    dmdt.x[i] = rx.v;
-    dmdt.y[i] = ry.v;
-    dmdt.z[i] = rz.v;
+              ScalarLane{p.alpha[s]}, ScalarLane{p.llg_pref[s]}, rx, ry, rz);
+    dmdt.x[s] = rx.v;
+    dmdt.y[s] = ry.v;
+    dmdt.z[s] = rz.v;
   }
 }
 
 void term_sweep(const KernelPlan& p, const SoaVec& m, const EvalOp& op,
                 SoaVec& h, std::size_t sb, std::size_t se) {
-  const std::uint32_t* act = p.active.data();
   const double* mx = m.x.data();
   const double* my = m.y.data();
   const double* mz = m.z.data();
@@ -332,54 +365,48 @@ void term_sweep(const KernelPlan& p, const SoaVec& m, const EvalOp& op,
   switch (op.kind) {
     case OpKind::kExchange:
       for (std::size_t s = sb; s < se; ++s) {
-        const std::size_t i = act[s];
-        const double mix = mx[i], miy = my[i], miz = mz[i];
+        const double mix = mx[s], miy = my[s], miz = mz[s];
         const std::uint32_t* nbp = &p.nb[6 * s];
         double lx = 0.0, ly = 0.0, lz = 0.0;
         for (int k = 0; k < 6; ++k) {
-          const std::size_t j = nbp[k];
+          const std::size_t s2 = nbp[k];
           const double w = p.inv_d2[k >> 1];
-          lx += (mx[j] - mix) * w;
-          ly += (my[j] - miy) * w;
-          lz += (mz[j] - miz) * w;
+          lx += (mx[s2] - mix) * w;
+          ly += (my[s2] - miy) * w;
+          lz += (mz[s2] - miz) * w;
         }
-        hx[i] += lx * op.pref;
-        hy[i] += ly * op.pref;
-        hz[i] += lz * op.pref;
+        hx[s] += lx * op.pref;
+        hy[s] += ly * op.pref;
+        hz[s] += lz * op.pref;
       }
       break;
     case OpKind::kAnisotropy:
       for (std::size_t s = sb; s < se; ++s) {
-        const std::size_t i = act[s];
-        const double d = mx[i] * op.ax + my[i] * op.ay + mz[i] * op.az;
+        const double d = mx[s] * op.ax + my[s] * op.ay + mz[s] * op.az;
         const double sc = op.pref * d;
-        hx[i] += op.ax * sc;
-        hy[i] += op.ay * sc;
-        hz[i] += op.az * sc;
+        hx[s] += op.ax * sc;
+        hy[s] += op.ay * sc;
+        hz[s] += op.az * sc;
       }
       break;
     case OpKind::kThinFilmDemag:
-      for (std::size_t s = sb; s < se; ++s) {
-        const std::size_t i = act[s];
-        hz[i] -= p.ms[i] * mz[i];
-      }
+      for (std::size_t s = sb; s < se; ++s) hz[s] -= p.ms[s] * mz[s];
       break;
     case OpKind::kUniformZeeman:
       for (std::size_t s = sb; s < se; ++s) {
-        const std::size_t i = act[s];
-        hx[i] += op.dx;
-        hy[i] += op.dy;
-        hz[i] += op.dz;
+        hx[s] += op.dx;
+        hy[s] += op.dy;
+        hz[s] += op.dz;
       }
       break;
     case OpKind::kAntenna:
-      // Region index list, not the slot range: the drive's whole point is
+      // Region slot list, not the slot range: the drive's whole point is
       // to touch only the cells the antenna powers.
       if (!op.skip) {
-        for (const std::uint32_t i : *op.cells) {
-          hx[i] += op.dx;
-          hy[i] += op.dy;
-          hz[i] += op.dz;
+        for (const std::uint32_t s : *op.cells) {
+          hx[s] += op.dx;
+          hy[s] += op.dy;
+          hz[s] += op.dz;
         }
       }
       break;
@@ -388,17 +415,26 @@ void term_sweep(const KernelPlan& p, const SoaVec& m, const EvalOp& op,
 
 void rhs_sweep(const KernelPlan& p, const SoaVec& m, const SoaVec& h,
                SoaVec& dmdt, std::size_t sb, std::size_t se) {
-  const std::uint32_t* act = p.active.data();
   for (std::size_t s = sb; s < se; ++s) {
-    const std::size_t i = act[s];
     ScalarLane rx, ry, rz;
-    llg_lanes(ScalarLane{m.x[i]}, ScalarLane{m.y[i]}, ScalarLane{m.z[i]},
-              ScalarLane{h.x[i]}, ScalarLane{h.y[i]}, ScalarLane{h.z[i]},
-              ScalarLane{p.alpha[i]}, ScalarLane{p.llg_pref[i]}, rx, ry, rz);
-    dmdt.x[i] = rx.v;
-    dmdt.y[i] = ry.v;
-    dmdt.z[i] = rz.v;
+    llg_lanes(ScalarLane{m.x[s]}, ScalarLane{m.y[s]}, ScalarLane{m.z[s]},
+              ScalarLane{h.x[s]}, ScalarLane{h.y[s]}, ScalarLane{h.z[s]},
+              ScalarLane{p.alpha[s]}, ScalarLane{p.llg_pref[s]}, rx, ry, rz);
+    dmdt.x[s] = rx.v;
+    dmdt.y[s] = ry.v;
+    dmdt.z[s] = rz.v;
   }
+}
+
+void renormalize_range(SoaVec& m, std::size_t b, std::size_t e) {
+  double* x = m.x.data();
+  double* y = m.y.data();
+  double* z = m.z.data();
+  std::size_t s = b;
+  for (; s + SimdLane::kWidth <= e; s += SimdLane::kWidth) {
+    renorm_block<SimdLane>(x, y, z, s);
+  }
+  for (; s < e; ++s) renorm_block<ScalarLane>(x, y, z, s);
 }
 
 }  // namespace swsim::mag::kernels

@@ -8,11 +8,12 @@
 // the per-cell operation sequence exactly. See docs/PERFORMANCE.md for the
 // argument; tests/test_mag_kernels.cpp holds it to byte identity.
 //
-// All ranges are half-open. "slot" ranges index the plan's active-cell
-// list, "edge" ranges index plan.edge_slots, "flat" ranges index the full
-// grid. Callers parallelize by chunking these ranges with fixed grain —
-// the loops only ever write cells inside their own range, so any chunk
-// schedule produces identical bytes.
+// All state is slot-indexed (KernelPlan::active) and all ranges are
+// half-open. "slot" ranges index the state arrays directly, "edge" ranges
+// index plan.edge_slots, run offsets index one interior run. Callers
+// parallelize by chunking these ranges with fixed grain — the loops only
+// ever write slots inside their own range, so any chunk schedule produces
+// identical bytes.
 #pragma once
 
 #include <cstddef>
@@ -37,12 +38,12 @@ struct EvalOp {
   const std::vector<double>* gate = nullptr;          // antenna 1.0/0.0 mask
 };
 
-// out = base + k * s, flat range [b, e). Matches "base[i] + s_expr * k[i]"
+// out = base + k * s, slot range [b, e). Matches "base[i] + s_expr * k[i]"
 // where the reference computed the double s first (s_expr collapses to s).
 void axpy(SoaVec& out, const SoaVec& base, double s, const SoaVec& k,
           std::size_t b, std::size_t e);
 
-// out = base + (c0*k0 + c1*k1 + ...) * h, flat range [b, e), inner sum
+// out = base + (c0*k0 + c1*k1 + ...) * h, slot range [b, e), inner sum
 // left-associated — the shape of every multi-k stage combination in the
 // reference steppers (a coefficient of exactly 1.0 reproduces a bare
 // "k[i]" operand: x * 1.0 == x bitwise).
@@ -78,34 +79,38 @@ double err_max_range(double h, const double (&c)[5],
                      const SoaVec* const (&k)[5], std::size_t b,
                      std::size_t e);
 
-// Fused field + LLG-rhs sweep over one interior-run flat range [fb, fe):
-// per cell, accumulate every op's field in term order into registers, then
-// apply the LLG right-hand side, writing dmdt at that cell only. Interior
-// cells address exchange neighbours at ±axis_stride directly and process
-// SIMD-width blocks of cells at once. `run_antenna` is the run's antenna
-// coverage bits; ops whose bit is clear are skipped for the whole range
-// (identical to the reference never touching those cells).
+// Fused field + LLG-rhs sweep over offsets [kb, ke) of one interior run:
+// per cell, accumulate every op's field in term order into registers,
+// then apply the LLG right-hand side, writing dmdt at that slot only.
+// Interior cells address exchange neighbours as the run's span bases plus
+// the offset (no tables) and process SIMD-width blocks of cells at once.
+// Ops whose antenna bit is clear in run.antenna are skipped for the whole
+// range (identical to the reference never touching those cells).
 void fused_run(const KernelPlan& p, const SoaVec& m,
-               const std::vector<EvalOp>& ops, SoaVec& dmdt, std::size_t fb,
-               std::size_t fe, std::uint8_t run_antenna);
+               const std::vector<EvalOp>& ops, SoaVec& dmdt,
+               const KernelPlan::Run& run, std::size_t kb, std::size_t ke);
 
 // Scalar companion of fused_run for edge slots [eb, ee) (indices into
 // plan.edge_slots): same per-cell op order, exchange via the six-entry
-// neighbour table, antenna via the per-slot coverage bits.
+// neighbour-slot table, antenna via the per-slot coverage bits.
 void fused_edge(const KernelPlan& p, const SoaVec& m,
                 const std::vector<EvalOp>& ops, SoaVec& dmdt, std::size_t eb,
                 std::size_t ee);
 
 // Per-term path (sampled timing attribution): one op accumulated into the
-// SoA field buffer h over active slots [sb, se) (antenna ops iterate their
-// region list instead and ignore the slot range — callers pass the full
+// SoA field buffer h over slots [sb, se) (antenna ops iterate their
+// region slot list instead and ignore the range — callers pass the full
 // range exactly once).
 void term_sweep(const KernelPlan& p, const SoaVec& m, const EvalOp& op,
                 SoaVec& h, std::size_t sb, std::size_t se);
 
-// LLG right-hand side from an accumulated field buffer, active slots
-// [sb, se) (companion of term_sweep; the fused sweeps fold this in).
+// LLG right-hand side from an accumulated field buffer, slots [sb, se)
+// (companion of term_sweep; the fused sweeps fold this in).
 void rhs_sweep(const KernelPlan& p, const SoaVec& m, const SoaVec& h,
                SoaVec& dmdt, std::size_t sb, std::size_t se);
+
+// m[s] = normalized(m[s]) over slots [b, e): v / |v| for |v| > 0, else v
+// unchanged (NaN stays NaN), exactly math::normalized.
+void renormalize_range(SoaVec& m, std::size_t b, std::size_t e);
 
 }  // namespace swsim::mag::kernels

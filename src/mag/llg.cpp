@@ -18,6 +18,16 @@ namespace swsim::mag {
 using swsim::math::kGamma;
 using swsim::math::kMu0;
 
+namespace {
+
+obs::Counter& scan_us_counter() {
+  static obs::Counter& scan_us =
+      obs::MetricsRegistry::global().counter("mag.watchdog_scan.us");
+  return scan_us;
+}
+
+}  // namespace
+
 namespace fehlberg {
 // The RKF45 tableau, shared by the reference stepper and the kernel-path
 // stepper so both run bit-identical arithmetic.
@@ -145,39 +155,27 @@ void Stepper::keval(kernels::SolveContext& c, const kernels::SoaVec& state,
 double Stepper::step(const System& sys,
                      const std::vector<std::unique_ptr<FieldTerm>>& terms,
                      VectorField& m, double t) {
+  if (kernels::SolveContext* c = gather(sys, terms, m)) {
+    // Scatter on every exit, a watchdog trip included: m then holds the
+    // raw state the reference path would have left in it.
+    const kernels::ScatterOnExit scatter(c, m);
+    return advance(*c, terms, t);
+  }
+
   // Stochastic terms draw one noise realization per step, scaled by the
   // step size the integrator is about to take.
   for (const auto& term : terms) term->advance_step(dt_);
-
   double taken = 0.0;
-  if (kernels::SolveContext* ctx = kernel_context(sys, terms)) {
-    // Fused SoA path: AoS<->SoA conversion happens only here, at the step
-    // boundary; the stage math runs on the context's contiguous buffers.
-    ctx->load_m(m);
-    switch (kind_) {
-      case StepperKind::kHeun:
-        taken = kstep_heun(*ctx, t);
-        break;
-      case StepperKind::kRk4:
-        taken = kstep_rk4(*ctx, t);
-        break;
-      case StepperKind::kRkf45:
-        taken = kstep_rkf45(*ctx, t);
-        break;
-    }
-    ctx->store_m(m);
-  } else {
-    switch (kind_) {
-      case StepperKind::kHeun:
-        taken = step_heun(sys, terms, m, t);
-        break;
-      case StepperKind::kRk4:
-        taken = step_rk4(sys, terms, m, t);
-        break;
-      case StepperKind::kRkf45:
-        taken = step_rkf45(sys, terms, m, t);
-        break;
-    }
+  switch (kind_) {
+    case StepperKind::kHeun:
+      taken = step_heun(sys, terms, m, t);
+      break;
+    case StepperKind::kRk4:
+      taken = step_rk4(sys, terms, m, t);
+      break;
+    case StepperKind::kRkf45:
+      taken = step_rkf45(sys, terms, m, t);
+      break;
   }
 
   // Fault-injection hook: poison one magnetic cell at the armed step index
@@ -192,33 +190,77 @@ double Stepper::step(const System& sys,
       }
     }
   }
-
   // Health scan on the raw integrator output: renormalization would mask
   // norm drift (and it preserves NaN), so check before it runs.
-  if (watchdog_.cadence > 0 && stats_.steps_taken % watchdog_.cadence == 0) {
-    static obs::Counter& scan_us =
-        obs::MetricsRegistry::global().counter("mag.watchdog_scan.us");
-    obs::ScopedTimerUs timer(scan_us);
-    const robust::Status health = robust::scan_magnetization(
-        m, sys.mask(), watchdog_.norm_drift_tol);
-    if (!health.is_ok()) {
-      obs::MetricsRegistry::global().counter("robust.watchdog_trips").add();
-      auto& elog = obs::EventLog::global();
-      if (elog.enabled(obs::LogLevel::kWarn)) {
-        elog.event(obs::LogLevel::kWarn, "watchdog_trip")
-            .str("kind", "state")
-            .uint("step", stats_.steps_taken)
-            .num("dt_s", dt_)
-            .str("message", health.message())
-            .emit();
-      }
-      throw robust::SolveError(health.with_context(
-          "LLG step " + std::to_string(stats_.steps_taken) + ", dt = " +
-          std::to_string(dt_)));
-    }
+  if (scan_due()) {
+    obs::ScopedTimerUs timer(scan_us_counter());
+    trip_on(robust::scan_magnetization(m, sys.mask(),
+                                       watchdog_.norm_drift_tol));
   }
-
   renormalize(sys, m);
+  return finish_step(taken);
+}
+
+kernels::SolveContext* Stepper::gather(
+    const System& sys, const std::vector<std::unique_ptr<FieldTerm>>& terms,
+    const VectorField& m) {
+  kernels::SolveContext* c = kernel_context(sys, terms);
+  if (c) c->load_m(m);
+  return c;
+}
+
+double Stepper::advance(kernels::SolveContext& c,
+                        const std::vector<std::unique_ptr<FieldTerm>>& terms,
+                        double t) {
+  for (const auto& term : terms) term->advance_step(dt_);
+  double taken = 0.0;
+  switch (kind_) {
+    case StepperKind::kHeun:
+      taken = kstep_heun(c, t);
+      break;
+    case StepperKind::kRk4:
+      taken = kstep_rk4(c, t);
+      break;
+    case StepperKind::kRkf45:
+      taken = kstep_rkf45(c, t);
+      break;
+  }
+  c.mark_advanced();
+  // The same tail as step(), on the slot state: slot 0 is the first
+  // magnetic cell, and scan() names the grid cell of a fault.
+  if (robust::FaultPlan::global().consume_nan(stats_.steps_taken)) {
+    c.poke_nan();
+  }
+  if (scan_due()) {
+    obs::ScopedTimerUs timer(scan_us_counter());
+    trip_on(c.scan(watchdog_.norm_drift_tol));
+  }
+  c.renormalize();
+  return finish_step(taken);
+}
+
+bool Stepper::scan_due() const {
+  return watchdog_.cadence > 0 && stats_.steps_taken % watchdog_.cadence == 0;
+}
+
+void Stepper::trip_on(const robust::Status& health) const {
+  if (health.is_ok()) return;
+  obs::MetricsRegistry::global().counter("robust.watchdog_trips").add();
+  auto& elog = obs::EventLog::global();
+  if (elog.enabled(obs::LogLevel::kWarn)) {
+    elog.event(obs::LogLevel::kWarn, "watchdog_trip")
+        .str("kind", "state")
+        .uint("step", stats_.steps_taken)
+        .num("dt_s", dt_)
+        .str("message", health.message())
+        .emit();
+  }
+  throw robust::SolveError(health.with_context(
+      "LLG step " + std::to_string(stats_.steps_taken) + ", dt = " +
+      std::to_string(dt_)));
+}
+
+double Stepper::finish_step(double taken) {
   static obs::Counter& steps =
       obs::MetricsRegistry::global().counter("mag.llg.steps");
   steps.add();

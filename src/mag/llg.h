@@ -72,10 +72,29 @@ class Stepper {
   // At the watchdog cadence the raw (pre-renormalization) state is scanned
   // for NaN/Inf and |m| norm drift; a violation throws robust::SolveError
   // with StatusCode::kNumericalDivergence instead of letting the poisoned
-  // state propagate. Recovery policy lives in Simulation::run_guarded.
+  // state propagate (m then holds that raw state). Recovery policy lives in
+  // Simulation::run_guarded.
+  //
+  // On the kernel path this is a gather -> advance -> scatter wrapper for
+  // callers that own an AoS field; Simulation::run keeps the state
+  // resident in the context instead (gather/advance below).
   double step(const System& sys,
               const std::vector<std::unique_ptr<FieldTerm>>& terms,
               VectorField& m, double t);
+
+  // Resident kernel path. gather() loads m into the cached kernel context
+  // and returns it, or returns nullptr when this term set stays on the
+  // scalar reference path (then keep calling step()). advance() is step()
+  // on the context's slot state: same stages, fault hook, watchdog scan
+  // and renormalization, byte for byte; the caller scatters with
+  // SolveContext::store_m wherever it needs the AoS field. The context is
+  // owned by this stepper and stays valid until its next gather()/step().
+  kernels::SolveContext* gather(
+      const System& sys, const std::vector<std::unique_ptr<FieldTerm>>& terms,
+      const VectorField& m);
+  double advance(kernels::SolveContext& c,
+                 const std::vector<std::unique_ptr<FieldTerm>>& terms,
+                 double t);
 
   const StepperStats& stats() const { return stats_; }
   StepperKind kind() const { return kind_; }
@@ -117,6 +136,13 @@ class Stepper {
   double kstep_heun(kernels::SolveContext& c, double t);
   double kstep_rk4(kernels::SolveContext& c, double t);
   double kstep_rkf45(kernels::SolveContext& c, double t);
+
+  // Shared step tail: true when this step's state is due a health scan;
+  // throws the watchdog SolveError for an unhealthy scan result; books
+  // the finished step.
+  bool scan_due() const;
+  void trip_on(const robust::Status& health) const;
+  double finish_step(double taken);
 
   StepperKind kind_;
   double dt_;

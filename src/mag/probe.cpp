@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "mag/kernels/soa.h"
+
 namespace swsim::mag {
 
 RegionProbe::RegionProbe(std::string name, const swsim::math::Mask& region,
@@ -46,13 +48,15 @@ void RegionProbe::decimate() {
   sample_dt_ *= 2.0;
 }
 
+void RegionProbe::grid_mismatch() const {
+  throw std::invalid_argument("RegionProbe '" + name_ +
+                              "': grid mismatch with system");
+}
+
 bool RegionProbe::maybe_record(const System& sys, const VectorField& m,
                                double t) {
   if (t + 1e-18 < next_sample_) return false;
-  if (!(region_.grid() == sys.grid())) {
-    throw std::invalid_argument("RegionProbe '" + name_ +
-                                "': grid mismatch with system");
-  }
+  if (!(region_.grid() == sys.grid())) grid_mismatch();
   Vec3 acc{};
   std::size_t n = 0;
   const auto& mask = sys.mask();
@@ -62,6 +66,32 @@ bool RegionProbe::maybe_record(const System& sys, const VectorField& m,
       ++n;
     }
   }
+  return record(t, acc, n);
+}
+
+void RegionProbe::bind_slots(const swsim::math::Grid& grid,
+                             const std::vector<std::uint32_t>& active) {
+  slots_.clear();
+  slots_grid_ok_ = region_.grid() == grid;
+  if (!slots_grid_ok_) return;  // maybe_record reports the mismatch
+  for (std::size_t s = 0; s < active.size(); ++s) {
+    if (region_[active[s]]) slots_.push_back(static_cast<std::uint32_t>(s));
+  }
+}
+
+bool RegionProbe::maybe_record(const kernels::SoaVec& m, double t) {
+  if (t + 1e-18 < next_sample_) return false;
+  if (!slots_grid_ok_) grid_mismatch();
+  Vec3 acc{};
+  for (const std::uint32_t s : slots_) {
+    acc.x += m.x[s];
+    acc.y += m.y[s];
+    acc.z += m.z[s];
+  }
+  return record(t, acc, slots_.size());
+}
+
+bool RegionProbe::record(double t, Vec3 acc, std::size_t n) {
   if (n == 0) {
     throw std::runtime_error("RegionProbe '" + name_ +
                              "': region contains no magnetic cells");

@@ -16,6 +16,7 @@
 // Both keep the checkpoint/restore rewind path exact (see Checkpoint).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,6 +25,10 @@
 #include "mag/system.h"
 
 namespace swsim::mag {
+
+namespace kernels {
+struct SoaVec;
+}
 
 class RegionProbe {
  public:
@@ -53,6 +58,15 @@ class RegionProbe {
   // window (always false while no demodulator is armed).
   bool maybe_record(const System& sys, const VectorField& m, double t);
 
+  // Slot-indexed sampling for the resident kernel state. bind_slots
+  // precomputes region ∧ mask as a slot list from the solve's ascending
+  // active-cell list (slot s holds grid cell active[s]); maybe_record then
+  // sums those slots in ascending order — the reference summation order,
+  // so both overloads record identical bytes.
+  void bind_slots(const swsim::math::Grid& grid,
+                  const std::vector<std::uint32_t>& active);
+  bool maybe_record(const kernels::SoaVec& m, double t);
+
   const std::vector<double>& times() const { return t_; }
   const std::vector<double>& mx() const { return mx_; }
   const std::vector<double>& my() const { return my_; }
@@ -81,6 +95,9 @@ class RegionProbe {
 
  private:
   void decimate();
+  [[noreturn]] void grid_mismatch() const;
+  // Appends one region-average sample (acc summed over n cells) at t.
+  bool record(double t, Vec3 acc, std::size_t n);
 
   std::string name_;
   swsim::math::Mask region_;
@@ -90,6 +107,8 @@ class RegionProbe {
   double next_sample_ = 0.0;
   std::vector<double> t_, mx_, my_, mz_;
   std::optional<LockinDemodulator> demod_;
+  bool slots_grid_ok_ = false;       // bind_slots saw the region's grid
+  std::vector<std::uint32_t> slots_;  // region ∧ mask, as slots
 };
 
 }  // namespace swsim::mag

@@ -8,6 +8,7 @@
 #include "mag/anisotropy_field.h"
 #include "mag/demag_field.h"
 #include "mag/exchange_field.h"
+#include "mag/kernels/context.h"
 #include "math/constants.h"
 
 namespace swsim::mag {
@@ -162,6 +163,26 @@ void Simulation::run(double duration) {
   const double t_end = time_ + duration;
   energy_watchdog_.reset();
   ensure_trackers();
+  if (obs::metrics_armed()) {
+    static obs::Gauge& active_cells =
+        obs::MetricsRegistry::global().gauge("mag.active_cells");
+    active_cells.set(static_cast<std::int64_t>(system_.magnetic_cell_count()));
+  }
+  // On the kernel path the state stays resident in the solve context for
+  // the whole run: probes sample its slots, and m_ is written back only at
+  // the energy-watchdog cadence and when the run is left, normally or by
+  // an exception (cancel, watchdog trip). ctx == nullptr is the reference
+  // path, which steps m_ itself.
+  kernels::SolveContext* const ctx = stepper_->gather(system_, terms_, m_);
+  kernels::ScatterOnExit resident(ctx, m_);
+  if (ctx) {
+    for (auto& p : probes_) p->bind_slots(system_.grid(), ctx->plan().active);
+  }
+  const auto record = [&](std::size_t i) {
+    return ctx ? probes_[i]->maybe_record(ctx->m_, time_)
+               : probes_[i]->maybe_record(system_, m_, time_);
+  };
+
   std::size_t steps = 0;
   obs::Span span("sim.run", "mag");
   // Per-step spans would swamp the trace (tens of thousands of RK4 steps);
@@ -171,7 +192,7 @@ void Simulation::run(double duration) {
   std::size_t block_steps = 0;
   // Record the initial state so probes always hold the t = start sample.
   for (std::size_t i = 0; i < probes_.size(); ++i) {
-    if (probes_[i]->maybe_record(system_, m_, time_)) on_window_completed(i);
+    if (record(i)) on_window_completed(i);
   }
   while (time_ < t_end - 1e-18) {
     if (cancel_token_ && cancel_token_->cancelled()) {
@@ -187,12 +208,13 @@ void Simulation::run(double duration) {
         block_steps = 0;
       }
     }
-    const double taken = stepper_->step(system_, terms_, m_, time_);
+    const double taken = ctx ? stepper_->advance(*ctx, terms_, time_)
+                             : stepper_->step(system_, terms_, m_, time_);
     time_ += taken;
     obs::ProgressReporter::global().on_llg_steps(1);
     bool window_done = false;
     for (std::size_t i = 0; i < probes_.size(); ++i) {
-      if (probes_[i]->maybe_record(system_, m_, time_)) {
+      if (record(i)) {
         on_window_completed(i);
         window_done = true;
       }
@@ -221,6 +243,7 @@ void Simulation::run(double duration) {
     }
     if (watchdog_.cadence > 0 && ++steps % watchdog_.cadence == 0) {
       obs::Span check_span("watchdog.energy", "robust");
+      resident.sync();
       double exchange_j = 0.0;
       const double energy_j = total_energy(&exchange_j);
       obs::PhysicsRegistry::global().record_energy(energy_j, exchange_j);

@@ -93,6 +93,8 @@ RunProfile RunProfile::collect(double wall_seconds, std::uint64_t cells) {
   for (const auto& [name, value] : reg.gauges_snapshot()) {
     if (name == "pool.threads" && value > 0) {
       p.pool_threads = static_cast<std::uint64_t>(value);
+    } else if (name == "mag.active_cells" && value > 0 && p.cells == 0) {
+      p.cells = static_cast<std::uint64_t>(value);
     }
   }
 

@@ -3,8 +3,8 @@
 // and serialized to a versioned JSON schema ("swsim.profile/1").
 //
 // A RunProfile answers the questions the bench trajectory needs answered
-// per data point: throughput (LLG steps/s, and cells·steps/s when the cell
-// count is known), where field-assembly time went per term, whether the
+// per data point: throughput (LLG steps/s, and active-cell·steps/s when
+// the magnetic cell count is known), where field-assembly time went per term, whether the
 // result cache helped, and how busy the thread pool actually was. The bench
 // harness embeds one in every BENCH_<name>.json; the CLI writes one via
 // `--profile-out <file>` on the engine commands.
@@ -29,13 +29,14 @@ struct RunProfile {
   static constexpr const char* kSchema = "swsim.profile/1";
 
   double wall_seconds = 0.0;    // caller-measured wall time of the solve
-  std::uint64_t cells = 0;      // grid cells (0 = unknown to the caller)
+  std::uint64_t cells = 0;      // magnetic (active) cells of the solve
   std::uint64_t llg_steps = 0;  // mag.llg.steps
   std::uint64_t field_evals = 0;
 
   // Throughput; non-finite values (0-second walls, overflow) serialize as 0.
   double steps_per_second = 0.0;
-  double cell_steps_per_second = 0.0;  // cells * steps_per_second, 0 if unknown
+  // Active-cell-steps/s: cells * steps_per_second, 0 if cells unknown.
+  double cell_steps_per_second = 0.0;
 
   // Fraction of summed per-term field-assembly time, by term name (from the
   // mag.term.<name>.us counters); fractions sum to ~1 when any term ran.
@@ -75,7 +76,9 @@ struct RunProfile {
 
   // Builds a profile from the global MetricsRegistry (snapshot reads — no
   // metrics are created as a side effect) and the process peak RSS.
-  // `wall_seconds` and `cells` come from the caller; derived rates are
+  // `wall_seconds` comes from the caller. `cells` is the magnetic cell
+  // count of the solves; 0 takes it from the "mag.active_cells" gauge that
+  // Simulation::run sets while metrics are armed. Derived rates are
   // guarded against division by zero and non-finite results.
   static RunProfile collect(double wall_seconds, std::uint64_t cells = 0);
 

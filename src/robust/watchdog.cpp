@@ -13,23 +13,34 @@ bool finite3(const swsim::math::Vec3& v) {
 
 }  // namespace
 
+bool cell_healthy(const swsim::math::Vec3& m, double norm_drift_tol) {
+  if (!finite3(m)) return false;
+  return !(norm_drift_tol > 0.0 &&
+           std::fabs(norm(m) - 1.0) > norm_drift_tol);
+}
+
+Status cell_fault(const swsim::math::Vec3& m, std::size_t cell,
+                  double norm_drift_tol) {
+  if (!finite3(m)) {
+    return Status::error(
+        StatusCode::kNumericalDivergence,
+        "non-finite magnetization at cell " + std::to_string(cell));
+  }
+  const double drift = std::fabs(norm(m) - 1.0);
+  if (norm_drift_tol > 0.0 && drift > norm_drift_tol) {
+    return Status::error(StatusCode::kNumericalDivergence,
+                         "|m| drift " + std::to_string(drift) + " at cell " +
+                             std::to_string(cell));
+  }
+  return Status::ok();
+}
+
 Status scan_magnetization(const swsim::math::VectorField& m,
                           const swsim::math::Mask& mask,
                           double norm_drift_tol) {
   for (std::size_t i = 0; i < m.size(); ++i) {
-    if (!mask[i]) continue;
-    if (!finite3(m[i])) {
-      return Status::error(
-          StatusCode::kNumericalDivergence,
-          "non-finite magnetization at cell " + std::to_string(i));
-    }
-    if (norm_drift_tol > 0.0) {
-      const double drift = std::fabs(norm(m[i]) - 1.0);
-      if (drift > norm_drift_tol) {
-        return Status::error(StatusCode::kNumericalDivergence,
-                             "|m| drift " + std::to_string(drift) +
-                                 " at cell " + std::to_string(i));
-      }
+    if (mask[i] && !cell_healthy(m[i], norm_drift_tol)) {
+      return cell_fault(m[i], i, norm_drift_tol);
     }
   }
   return Status::ok();

@@ -51,6 +51,13 @@ Status scan_magnetization(const swsim::math::VectorField& m,
                           const swsim::math::Mask& mask,
                           double norm_drift_tol);
 
+// The per-cell body of scan_magnetization, for state held in another
+// layout: cell_healthy is the check, cell_fault the error the scan reports
+// for an unhealthy cell at grid index `cell`.
+bool cell_healthy(const swsim::math::Vec3& m, double norm_drift_tol);
+Status cell_fault(const swsim::math::Vec3& m, std::size_t cell,
+                  double norm_drift_tol);
+
 // Flags runaway growth of the total energy. reset() between solves. The
 // first `warmup_checks` calls only ratchet the reference to the running
 // max |E|; the growth bound is enforced afterwards — and only once the

@@ -132,6 +132,22 @@ TEST(ObsProfile, CollectReadsRegistryWithoutRegisteringMetrics) {
   EXPECT_EQ(reg.counters_snapshot().size(), counters_before);
 }
 
+TEST(ObsProfile, CellsDefaultToTheSolversActiveCellGauge) {
+  // Every cell_steps_per_second is active-cell-steps/s: without an explicit
+  // count, collect() takes the magnetic cells Simulation::run published.
+  MetricsRegistry::arm();
+  auto& reg = MetricsRegistry::global();
+  reg.reset();
+  reg.counter("mag.llg.steps").add(1000);
+  reg.gauge("mag.active_cells").set(1103);
+  const RunProfile implicit = RunProfile::collect(/*wall_seconds=*/2.0);
+  const RunProfile explicit_cells = RunProfile::collect(2.0, /*cells=*/7);
+  MetricsRegistry::disarm();
+  EXPECT_EQ(implicit.cells, 1103u);
+  EXPECT_DOUBLE_EQ(implicit.cell_steps_per_second, 1103.0 * 500.0);
+  EXPECT_EQ(explicit_cells.cells, 7u);
+}
+
 TEST(ObsProfile, ZeroWallGuardsDerivedRates) {
   MetricsRegistry::arm();
   auto& reg = MetricsRegistry::global();
