@@ -734,28 +734,6 @@ std::string read_file(const std::string& path, const char* cmd) {
   return os.str();
 }
 
-// Quantile estimate from an exported histogram's [[le, n], ...] buckets —
-// the offline mirror of obs::Histogram::Snapshot::quantile (the overflow
-// "inf" bucket reports its lower bound).
-double quantile_from_buckets(const std::vector<double>& bounds,
-                             const std::vector<double>& counts,
-                             double total, double q) {
-  if (total <= 0.0) return 0.0;
-  const double target = q * total;
-  double seen = 0.0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (seen + counts[i] < target) {
-      seen += counts[i];
-      continue;
-    }
-    const double lo = i == 0 ? 0.0 : bounds[i - 1];
-    if (i >= bounds.size()) return lo;  // overflow bucket
-    if (counts[i] <= 0.0) return bounds[i];
-    return lo + (bounds[i] - lo) * ((target - seen) / counts[i]);
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
-}
-
 // Parses a dump file for stats/trace-check with invalid-input semantics:
 // an empty file or malformed JSON (e.g. a dump truncated by a crash or a
 // full disk) is exit code 2 with the parser's positioned message, the same
@@ -880,35 +858,42 @@ int cmd_stats(const cli::Args& args) {
   if (n_scalars > 0) std::cout << scalars.str();
 
   if (!histograms->object().empty()) {
+    // Counts arrive as JSON doubles; only [0, 2^64) converts to uint64.
+    const auto is_count = [](const obs::JsonValue& v) {
+      return v.number() >= 0.0 && v.number() < 18446744073709551616.0;
+    };
     Table ht({"histogram", "count", "mean", "p50", "p90", "p99"});
     for (const auto& [name, h] : histograms->object()) {
       const auto* count = h.find("count");
       const auto* sum = h.find("sum");
       const auto* buckets = h.find("buckets");
-      if (!count || !sum || !buckets || !buckets->is_array()) {
+      if (!count || !sum || !buckets || !buckets->is_array() ||
+          !is_count(*count)) {
         std::cerr << "stats: histogram '" << name << "' is malformed\n";
         return 2;
       }
-      std::vector<double> bounds, bucket_counts;
+      // Rebuild the registry's own snapshot from the [[le, n], ...]
+      // buckets ("inf" marks the overflow bucket), so the quantiles come
+      // from the same estimator the live text() dump uses.
+      obs::Histogram::Snapshot snap;
       for (const auto& pair : buckets->array()) {
-        if (!pair.is_array() || pair.array().size() != 2) {
+        if (!pair.is_array() || pair.array().size() != 2 ||
+            !is_count(pair.array()[1])) {
           std::cerr << "stats: histogram '" << name << "' has a bad bucket\n";
           return 2;
         }
         const auto& le = pair.array()[0];
-        if (le.is_number()) bounds.push_back(le.number());
-        bucket_counts.push_back(pair.array()[1].number());
+        if (le.is_number()) snap.bounds.push_back(le.number());
+        snap.counts.push_back(
+            static_cast<std::uint64_t>(pair.array()[1].number()));
       }
-      const double total = count->number();
-      const double mean = total > 0.0 ? sum->number() / total : 0.0;
-      ht.add_row(
-          {name, Table::num(total, 0), Table::num(mean, 6),
-           Table::num(quantile_from_buckets(bounds, bucket_counts, total,
-                                            0.50), 6),
-           Table::num(quantile_from_buckets(bounds, bucket_counts, total,
-                                            0.90), 6),
-           Table::num(quantile_from_buckets(bounds, bucket_counts, total,
-                                            0.99), 6)});
+      snap.count = static_cast<std::uint64_t>(count->number());
+      snap.sum = sum->number();
+      ht.add_row({name, Table::num(count->number(), 0),
+                  Table::num(snap.mean(), 6),
+                  Table::num(snap.quantile(0.50), 6),
+                  Table::num(snap.quantile(0.90), 6),
+                  Table::num(snap.quantile(0.99), 6)});
     }
     std::cout << '\n' << ht.str();
   }

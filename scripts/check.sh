@@ -18,9 +18,11 @@
 #      targets, the emitted BENCH_*.json self-compare clean through
 #      `swsim bench gate`, and a deliberately deflated baseline must make
 #      the gate FAIL (exit non-zero) — the regression detector detects.
-#   6. an SWSIM_OBS_OFF compile check: the whole library + CLI must still
-#      build with observability compiled out (the stub headers are only
-#      honest if something links against them regularly).
+#   6. a pure-observer check: the default LLG MAJ3 truth table
+#      (`swsim micromag`) run bare and again with every telemetry sink
+#      armed (trace, metrics, debug JSONL event log, profile) must print
+#      byte-identical report lines; the armed run only appends its three
+#      `... -> <file>` dump notices.
 #   7. a serve smoke: a real `swsim serve` daemon on a Unix socket, probed
 #      by concurrent `swsim client --verify` tenants (served bytes must
 #      equal locally recomputed CLI bytes), a per-tenant injected fault, a
@@ -53,7 +55,6 @@
 #        libtsan).
 #        SWSIM_CHECK_SKIP_ASAN=1 skips stage 3 (toolchains without libasan).
 #        SWSIM_CHECK_SKIP_BENCH=1 skips stage 5.
-#        SWSIM_CHECK_SKIP_OBSOFF=1 skips stage 6.
 #        SWSIM_CHECK_SKIP_SERVE=1 skips stages 7-10.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -187,18 +188,23 @@ else
   echo "stage 5: gate correctly failed on the deflated baseline"
 fi
 
-if [[ "${SWSIM_CHECK_SKIP_OBSOFF:-0}" == "1" ]]; then
-  echo "== stage 6: OBS_OFF build skipped (SWSIM_CHECK_SKIP_OBSOFF=1) =="
-else
-  OBSOFF_DIR="${BUILD_DIR}-obsoff"
-  echo "== stage 6: SWSIM_OBS_OFF compile check (${OBSOFF_DIR}) =="
-  cmake -B "${OBSOFF_DIR}" -S . \
-    -DSWSIM_OBS_OFF=ON -DSWSIM_BUILD_TESTS=OFF -DSWSIM_BUILD_BENCH=OFF \
-    -DSWSIM_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build "${OBSOFF_DIR}" -j "${JOBS}" --target swsim
-  # The disarmed CLI must still run and not emit progress noise.
-  "${OBSOFF_DIR}/cli/swsim" truthtable maj >/dev/null
-fi
+echo "== stage 6: telemetry armed vs disarmed on the LLG path =="
+PURE_DIR="${BUILD_DIR}/pure-observer"
+rm -rf "${PURE_DIR}"
+mkdir -p "${PURE_DIR}"
+"${BUILD_DIR}/cli/swsim" micromag --jobs "${JOBS}" >"${PURE_DIR}/bare.txt"
+"${BUILD_DIR}/cli/swsim" micromag --jobs "${JOBS}" \
+  --trace-out "${PURE_DIR}/trace.json" \
+  --metrics-out "${PURE_DIR}/metrics.json" \
+  --log-json "${PURE_DIR}/events.jsonl" --log-level debug \
+  --profile-out "${PURE_DIR}/profile.json" >"${PURE_DIR}/armed.txt"
+grep -v -- ' -> ' "${PURE_DIR}/armed.txt" >"${PURE_DIR}/armed_report.txt"
+cmp "${PURE_DIR}/bare.txt" "${PURE_DIR}/armed_report.txt"
+test "$(grep -c -- ' -> ' "${PURE_DIR}/armed.txt")" -eq 3 || {
+  echo "stage 6: expected three dump notices from the armed run" >&2
+  exit 1
+}
+echo "stage 6: armed and bare micromag reports byte-identical"
 
 if [[ "${SWSIM_CHECK_SKIP_SERVE:-0}" == "1" ]]; then
   echo "== stage 7: serve smoke skipped (SWSIM_CHECK_SKIP_SERVE=1) =="

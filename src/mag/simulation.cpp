@@ -110,6 +110,7 @@ void Simulation::on_window_completed(std::size_t i) {
 
   obs::PhysicsRegistry::global().record_window(p.name(), amplitude, phase);
   if (obs::metrics_armed()) {
+    ++physics_tally_.windows[p.name()];
     auto& reg = obs::MetricsRegistry::global();
     reg.counter("mag.probe.windows").add();
     // Gauges are integral; export the tiny normalized amplitudes in nano
@@ -163,6 +164,7 @@ void Simulation::run(double duration) {
   const double t_end = time_ + duration;
   energy_watchdog_.reset();
   ensure_trackers();
+  physics_tally_ = {};
   if (obs::metrics_armed()) {
     static obs::Gauge& active_cells =
         obs::MetricsRegistry::global().gauge("mag.active_cells");
@@ -247,6 +249,7 @@ void Simulation::run(double duration) {
       double exchange_j = 0.0;
       const double energy_j = total_energy(&exchange_j);
       obs::PhysicsRegistry::global().record_energy(energy_j, exchange_j);
+      if (obs::metrics_armed()) ++physics_tally_.energy_samples;
       const robust::Status health =
           energy_watchdog_.check(energy_j,
                                  watchdog_.energy_growth_factor,
@@ -278,6 +281,7 @@ void Simulation::run(double duration) {
 robust::Status Simulation::run_guarded(double duration) {
   // Checkpoint everything a failed attempt mutates: the magnetization, the
   // clock, the probe records, and the convergence trackers riding on them.
+  // The attempt's physics-registry counts are retracted on rewind.
   // Field terms are stateless across steps for the conservative physics;
   // stochastic terms redraw per step anyway.
   const VectorField m0 = m_;
@@ -324,6 +328,7 @@ robust::Status Simulation::run_guarded(double duration) {
         trackers_[i].restore(tracker_cps[i]);
       }
       early_stop_saved_steps_ = saved_steps0;
+      obs::PhysicsRegistry::global().retract(physics_tally_);
       dt *= 0.5;
       set_stepper(stepper_->kind(), dt, stepper_->tolerance());
     }

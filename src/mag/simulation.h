@@ -133,6 +133,9 @@ class Simulation {
   std::vector<obs::ConvergenceTracker> trackers_;  // parallel to probes_
   std::string telemetry_label_;
   std::uint64_t early_stop_saved_steps_ = 0;
+  // Registry counts the current run() attempt added (metrics armed only);
+  // run_guarded retracts them when it rewinds the attempt.
+  obs::PhysicsRegistry::Tally physics_tally_;
 };
 
 }  // namespace swsim::mag

@@ -1,5 +1,3 @@
-#ifndef SWSIM_OBS_OFF
-
 #include "obs/event_log.h"
 
 #include <cmath>
@@ -133,5 +131,3 @@ EventLog::Event EventLog::event(LogLevel level, const char* name,
 }
 
 }  // namespace swsim::obs
-
-#endif  // SWSIM_OBS_OFF

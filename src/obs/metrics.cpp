@@ -1,5 +1,3 @@
-#ifndef SWSIM_OBS_OFF
-
 #include "obs/metrics.h"
 
 #include <algorithm>
@@ -276,5 +274,3 @@ ScopedLatency::~ScopedLatency() {
 }
 
 }  // namespace swsim::obs
-
-#endif  // SWSIM_OBS_OFF

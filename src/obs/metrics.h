@@ -14,21 +14,16 @@
 // table), json() for machines (--metrics-out). Histograms export count,
 // sum, and per-bucket cumulative-free counts, so consumers can compute
 // rates and quantile estimates offline.
-//
-// Compile-out: SWSIM_OBS_OFF collapses everything to inert stubs.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
-
-#ifndef SWSIM_OBS_OFF
-
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace swsim::obs {
 
@@ -189,94 +184,3 @@ class ScopedLatency {
 };
 
 }  // namespace swsim::obs
-
-#else  // SWSIM_OBS_OFF
-
-namespace swsim::obs {
-
-inline bool metrics_armed() { return false; }
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) {}
-  std::int64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> = {}) {}
-  void observe(double) {}
-  struct Snapshot {
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double mean() const { return 0.0; }
-    double quantile(double) const { return 0.0; }
-  };
-  Snapshot snapshot() const { return {}; }
-  void reset() {}
-  static std::vector<double> latency_seconds_bounds() { return {}; }
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& global() {
-    static MetricsRegistry r;
-    return r;
-  }
-  static void arm() {}
-  static void disarm() {}
-  Counter& counter(const std::string&) { return counter_; }
-  Gauge& gauge(const std::string&) { return gauge_; }
-  Histogram& histogram(const std::string&, std::vector<double> = {}) {
-    return histogram_;
-  }
-  void reset() {}
-  std::vector<std::pair<std::string, std::uint64_t>> counters_snapshot()
-      const {
-    return {};
-  }
-  std::vector<std::pair<std::string, std::int64_t>> gauges_snapshot() const {
-    return {};
-  }
-  std::vector<std::pair<std::string, Histogram::Snapshot>>
-  histograms_snapshot() const {
-    return {};
-  }
-  std::string json() const {
-    return "{\"counters\": {}, \"gauges\": {}, \"histograms\": {}}\n";
-  }
-  std::string text() const { return "observability compiled out\n"; }
-  bool write_json(const std::string&, std::string* error = nullptr) const {
-    if (error) *error = "observability compiled out (SWSIM_OBS_OFF)";
-    return false;
-  }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-class ScopedTimerUs {
- public:
-  explicit ScopedTimerUs(Counter&) {}
-};
-
-class ScopedLatency {
- public:
-  explicit ScopedLatency(Histogram&) {}
-};
-
-}  // namespace swsim::obs
-
-#endif  // SWSIM_OBS_OFF

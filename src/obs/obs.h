@@ -1,9 +1,8 @@
 // Umbrella header for the observability layer: tracing spans, metrics,
 // and the structured event log. See docs/OBSERVABILITY.md for the span
 // naming scheme, the metric catalog, and the disarmed-cost contract.
-//
-// Build with -DSWSIM_OBS_OFF (CMake: -DSWSIM_OBS_OFF=ON) to compile every
-// hook down to an inert stub.
+// The layer is always compiled in; every hook is inert until its sink is
+// armed, and an armed sink never changes solver output.
 #pragma once
 
 #include "obs/clock.h"

@@ -119,6 +119,14 @@ void PhysicsRegistry::record_early_stop(std::uint64_t saved_steps) {
   state_.early_stop_saved_steps += saved_steps;
 }
 
+void PhysicsRegistry::retract(const Tally& tally) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [probe, windows] : tally.windows) {
+    state_.probes[probe].windows -= windows;
+  }
+  state_.energy_samples -= tally.energy_samples;
+}
+
 PhysicsRegistry::Snapshot PhysicsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return state_;

@@ -8,13 +8,13 @@
 //   * ConvergenceTracker — pure decision logic: has a port's envelope
 //     settled within tolerance for N consecutive windows? This is
 //     *unconditional* code (like serve's SloTracker): when `--early-stop`
-//     is armed its verdict changes how long a solve runs, so it can never
-//     be compiled out with the observability stubs.
+//     is armed its verdict changes how long a solve runs, so it must work
+//     with every telemetry sink disarmed.
 //   * PhysicsRegistry — a global accumulator of per-probe window stats,
 //     the energy series, and early-stop savings, read by
 //     RunProfile::collect() into the "physics" block. Updates are gated on
-//     obs::metrics_armed() internally, so the disarmed (and SWSIM_OBS_OFF)
-//     cost is one relaxed load and the profile reports zeros.
+//     obs::metrics_armed() internally, so the disarmed cost is one
+//     relaxed load and the profile reports zeros.
 //   * ProbeHub — a bounded fan-out of envelope frames to subscribers (the
 //     serve plane's `probe.subscribe`). Publishing with no subscribers is
 //     one relaxed load; a slow subscriber loses its *oldest* frames (with
@@ -98,6 +98,7 @@ class PhysicsRegistry {
     double amplitude = 0.0;    // last completed window
     double phase = 0.0;
     double converged_at = -1.0;  // seconds; < 0 = not converged
+    bool operator==(const ProbeStats&) const = default;
   };
   struct Snapshot {
     std::map<std::string, ProbeStats> probes;
@@ -105,6 +106,13 @@ class PhysicsRegistry {
     double total_energy_j = 0.0;     // last recorded
     double exchange_energy_j = 0.0;  // last recorded (the magnon band carrier)
     std::uint64_t early_stop_saved_steps = 0;
+    bool operator==(const Snapshot&) const = default;
+  };
+  // The counts one solve attempt added: windows per probe and energy
+  // samples. The solver keeps one per attempt so a rewind can retract it.
+  struct Tally {
+    std::map<std::string, std::uint64_t> windows;
+    std::uint64_t energy_samples = 0;
   };
 
   // All recorders no-op unless obs::metrics_armed().
@@ -112,6 +120,13 @@ class PhysicsRegistry {
   void record_converged(const std::string& probe, double t);
   void record_energy(double total_j, double exchange_j);
   void record_early_stop(std::uint64_t saved_steps);
+
+  // Takes back the counts of an attempt the divergence-recovery path
+  // rewound, so a recovered run reports the counts a clean run would.
+  // Subtraction commutes with concurrent solves' additions; the last-value
+  // fields need no rewind, because the replay re-solves the same interval
+  // and overwrites them.
+  void retract(const Tally& tally);
 
   Snapshot snapshot() const;
   void reset();

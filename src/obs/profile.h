@@ -10,7 +10,7 @@
 // `--profile-out <file>` on the engine commands.
 //
 // Everything here runs at end-of-run (never on a hot path), so it is built
-// unconditionally — under SWSIM_OBS_OFF collect() simply reads the stub
+// unconditionally — with metrics disarmed collect() simply reads an idle
 // registry and reports zeros, while the JSON round-trip keeps working for
 // the reader side.
 #pragma once
@@ -57,8 +57,8 @@ struct RunProfile {
 
   // Physics telemetry (PhysicsRegistry snapshot): what the live lock-in
   // probes saw during the solve. Empty/zero when no probe was armed — and
-  // always zero under SWSIM_OBS_OFF or with metrics disarmed. The block is
-  // *optional* on the reader side so documents from older builds parse.
+  // always zero with metrics disarmed. The block is *optional* on the
+  // reader side so documents from older builds parse.
   struct ProbePhysics {
     std::string name;
     std::uint64_t windows = 0;

@@ -1,5 +1,3 @@
-#ifndef SWSIM_OBS_OFF
-
 #include "obs/trace.h"
 
 #include <cstdio>
@@ -183,5 +181,3 @@ void set_thread_name(const std::string& name) {
 }
 
 }  // namespace swsim::obs
-
-#endif  // SWSIM_OBS_OFF

@@ -713,6 +713,9 @@ bool Server::stream_probes(int fd, const Request& request) {
   }
 
   const std::uint64_t dropped = sub->dropped();
+  // Unsubscribe before the terminal frame: a client that has read
+  // probe.end must find publishers no longer paying for this stream.
+  sub.reset();
   if (dropped > 0) {
     probe_dropped_.fetch_add(dropped, std::memory_order_relaxed);
     serve_metrics().probe_dropped.add(dropped);
@@ -725,7 +728,6 @@ bool Server::stream_probes(int fd, const Request& request) {
     write_ok =
         write_frame(fd, fin, &error, IoDeadlines{0.0, tun.frame_timeout_s});
   }
-  sub.reset();  // unsubscribe: publishers stop paying for this stream
   probe_active_.fetch_sub(1, std::memory_order_relaxed);
   serve_metrics().probe_active.set(static_cast<std::int64_t>(
       probe_active_.load(std::memory_order_relaxed)));

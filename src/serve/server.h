@@ -194,7 +194,8 @@ class Server {
   std::ofstream log_out_;
 
   // Authoritative request counters (metrics mirror them; healthz reads
-  // these so it works in SWSIM_OBS_OFF builds too).
+  // these so it works with metrics disarmed and counts this server
+  // instance only, not the process-global registry).
   std::atomic<std::uint64_t> requests_total_{0};
   std::atomic<std::uint64_t> requests_failed_{0};
   std::atomic<std::uint64_t> rejected_overload_{0};
@@ -202,7 +203,7 @@ class Server {
   std::atomic<std::uint64_t> rejected_deadline_{0};
   std::atomic<std::uint64_t> sessions_timed_out_{0};
 
-  // Probe-stream accounting (healthz "probe" section; OBS_OFF-safe).
+  // Probe-stream accounting (healthz "probe" section; metrics-independent).
   std::atomic<std::uint64_t> probe_streams_{0};
   std::atomic<std::uint64_t> probe_frames_{0};
   std::atomic<std::uint64_t> probe_dropped_{0};

@@ -9,12 +9,15 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 
 #include "mag/simulation.h"
 #include "mag/zeeman_field.h"
 #include "math/constants.h"
+#include "obs/metrics.h"
+#include "obs/physics.h"
 #include "robust/fault_injection.h"
 #include "wavenet/dispersion.h"
 
@@ -58,37 +61,80 @@ void expect_same_series(const RegionProbe& a, const RegionProbe& b) {
   EXPECT_EQ(a.mz(), b.mz());
 }
 
+// One divergence-recovery scenario: the run length, the step the NaN is
+// injected at, and whether metrics (and so the physics registry) are armed.
+struct RewindCase {
+  const char* label;
+  double duration;
+  std::size_t nan_step;
+  bool metrics;
+};
+
 TEST(ProbeRewind, RecoveredRunMatchesCleanHalvedRunBitExact) {
   // Recovery rewinds probes (and their demodulators) to the run_guarded
   // call point and re-solves the whole interval at dt/2, so the recorded
   // series must be byte-identical to a run that used dt/2 from the start.
-  Simulation recovered(small_system());
-  auto& dirty = configure(recovered, ps(0.2));
-  {
-    robust::ScopedFaultPlan plan;
-    plan->inject_nan_at_step(8);  // budget 1: only the first attempt is hit
-    const auto status = recovered.run_guarded(ns(0.4));
+  // With metrics armed the physics registry must also forget the failed
+  // attempt's windows and energy samples: a NaN after >= 2 completed
+  // windows must leave the same snapshot a clean dt/2 run leaves.
+  const RewindCase cases[] = {
+      {"early NaN, metrics disarmed", ns(0.4), 8, false},
+      {"NaN after 2 windows, metrics armed", ns(1.0), 3000, true},
+  };
+  for (const RewindCase& c : cases) {
+    SCOPED_TRACE(c.label);
+    if (c.metrics) obs::MetricsRegistry::arm();
+    auto& physics = obs::PhysicsRegistry::global();
+
+    physics.reset();
+    obs::MetricsRegistry::global().reset();
+    Simulation recovered(small_system());
+    auto& dirty = configure(recovered, ps(0.2));
+    {
+      robust::ScopedFaultPlan plan;
+      plan->inject_nan_at_step(c.nan_step);  // budget 1: first attempt only
+      const auto status = recovered.run_guarded(c.duration);
+      ASSERT_TRUE(status.is_ok()) << status.str();
+    }
+    EXPECT_NEAR(recovered.stepper_stats().last_dt, ps(0.1), 1e-18);
+    const auto recovered_physics = physics.snapshot();
+    // The work counter keeps the failed attempt's windows.
+    const std::uint64_t windows_worked =
+        obs::MetricsRegistry::global().counter("mag.probe.windows").value();
+
+    physics.reset();
+    Simulation clean(small_system());
+    auto& reference = configure(clean, ps(0.1));
+    const auto status = clean.run_guarded(c.duration);
     ASSERT_TRUE(status.is_ok()) << status.str();
+    const auto clean_physics = physics.snapshot();
+    obs::MetricsRegistry::disarm();
+    physics.reset();
+
+    ASSERT_GT(reference.sample_count(), 0u);
+    expect_same_series(dirty, reference);
+
+    // The live lock-in envelope came through the rewind bit-exact too.
+    const auto* d1 = dirty.demodulator();
+    const auto* d2 = reference.demodulator();
+    ASSERT_NE(d1, nullptr);
+    ASSERT_NE(d2, nullptr);
+    ASSERT_GT(d2->window_count(), 0u);
+    EXPECT_EQ(d1->times(), d2->times());
+    EXPECT_EQ(d1->amplitude(), d2->amplitude());
+    EXPECT_EQ(d1->phase(), d2->phase());
+
+    if (c.metrics) {
+      ASSERT_EQ(clean_physics.probes.count("port"), 1u);
+      EXPECT_EQ(recovered_physics.probes.at("port").windows,
+                clean_physics.probes.at("port").windows);
+      EXPECT_EQ(clean_physics.probes.at("port").windows, d2->window_count());
+      EXPECT_EQ(recovered_physics.energy_samples,
+                clean_physics.energy_samples);
+      EXPECT_TRUE(recovered_physics == clean_physics);
+      EXPECT_GE(windows_worked, clean_physics.probes.at("port").windows + 2);
+    }
   }
-  EXPECT_NEAR(recovered.stepper_stats().last_dt, ps(0.1), 1e-18);
-
-  Simulation clean(small_system());
-  auto& reference = configure(clean, ps(0.1));
-  const auto status = clean.run_guarded(ns(0.4));
-  ASSERT_TRUE(status.is_ok()) << status.str();
-
-  ASSERT_GT(reference.sample_count(), 0u);
-  expect_same_series(dirty, reference);
-
-  // The live lock-in envelope came through the rewind bit-exact too.
-  const auto* d1 = dirty.demodulator();
-  const auto* d2 = reference.demodulator();
-  ASSERT_NE(d1, nullptr);
-  ASSERT_NE(d2, nullptr);
-  ASSERT_GT(d2->window_count(), 0u);
-  EXPECT_EQ(d1->times(), d2->times());
-  EXPECT_EQ(d1->amplitude(), d2->amplitude());
-  EXPECT_EQ(d1->phase(), d2->phase());
 }
 
 // --- direct probe checkpointing, no solver ------------------------------
