@@ -1,20 +1,27 @@
 // Overhead accounting for the in-situ physics telemetry: what one LLG
-// solve pays for (a) live lock-in demodulation + convergence tracking +
-// physics metrics while armed, and (b) live probe-stream subscribers on
-// top, versus a fully disarmed solve. The same run proves the bounded
+// solve pays for (a) armed metrics — physics gauges, counters, the
+// energy series — on top of the demodulators every gate solve runs for
+// its readout, and (b) live probe-stream subscribers on top of that,
+// versus a solve with metrics disarmed. The same run proves the bounded
 // fan-out contract: an abandoned slow subscriber loses its oldest frames
 // (dropped counter) and can never hang the solver or the stream.
 //
-// Self-gating: armed overhead must stay <= 5% and hung_streams == 0.
+// Self-gating: armed vs disarmed runs as interleaved pairs (the order
+// alternates pair by pair), and the 95% interval of the median per-pair
+// relative difference must lie below the 5% budget; hung_streams == 0.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <ctime>
 #include <thread>
+#include <vector>
 
 #include "bench/harness.h"
 #include "core/micromag_gate.h"
+#include "mag/kernels/runtime.h"
 #include "math/constants.h"
 #include "obs/metrics.h"
 #include "obs/physics.h"
@@ -29,36 +36,80 @@ double now_s() {
       .count();
 }
 
-core::MicromagGateConfig bench_config(bool live_probes, bool quick) {
+core::MicromagGateConfig bench_config(bool quick) {
   core::MicromagGateConfig cfg;
   cfg.params =
       geom::TriangleGateParams::reduced_maj3(math::nm(50), math::nm(20));
   cfg.cell_size = math::nm(5);
-  // Fixed short duration (not the auto transit-based one): long enough for
-  // several completed demodulation windows, short enough to repeat. The
-  // telemetry cost per step is what's measured; logic margins are not.
-  cfg.duration = quick ? 0.8e-9 : 1.5e-9;
-  cfg.live_probes = live_probes;
+  // Fixed short duration (not the auto transit-based one): the settle time
+  // is ~0.60 ns here and the first whole demodulator window after it ends
+  // at ~0.81 ns, so 1.0 ns is the shortest round figure the readout
+  // accepts. The telemetry cost per step is what's measured; logic margins
+  // are not.
+  cfg.duration = quick ? 1.0e-9 : 1.5e-9;
   return cfg;
 }
 
-// Best-of-n wall time of one LLG evaluation with a pre-injected
-// calibration, so only the solve itself is timed.
-double time_solve(const core::MicromagGateConfig& cfg,
-                  const core::MicromagCalibration& calib, int n) {
-  double best = 1e300;
-  for (int i = 0; i < n; ++i) {
-    core::MicromagTriangleGate gate(cfg);
-    gate.set_calibration(calib);
-    const double t0 = now_s();
-    (void)gate.evaluate_full({true, false, true});
-    best = std::min(best, now_s() - t0);
+// CPU time of the calling thread: what the solve itself pays. Wall time on
+// a shared host also counts the time other processes hold the core, which
+// swamps a few-percent effect.
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+// CPU seconds of one LLG evaluation with metrics armed or disarmed and a
+// pre-injected calibration, so only the solve itself is timed. main() pins
+// the solve to this thread (one cell job).
+double time_solve(bool armed, const core::MicromagGateConfig& cfg,
+                  const core::MicromagCalibration& calib) {
+  if (armed) {
+    obs::MetricsRegistry::arm();
+  } else {
+    obs::MetricsRegistry::disarm();
   }
-  return best;
+  core::MicromagTriangleGate gate(cfg);
+  gate.set_calibration(calib);
+  const double t0 = thread_cpu_s();
+  (void)gate.evaluate_full({true, false, true});
+  return thread_cpu_s() - t0;
 }
 
 double pct_over(double value, double base) {
   return base > 0.0 ? (value - base) / base * 100.0 : 0.0;
+}
+
+struct Interval {
+  double median = 0.0, lo = 0.0, hi = 0.0;
+};
+
+// Median of the per-pair overheads (percent) and its distribution-free
+// confidence interval [d_(k), d_(n+1-k)] over the sorted differences, with
+// the largest k whose coverage 1 - 2 P(Binomial(n, 1/2) < k) is >= 95%.
+// Needs n >= 6; a shared host's outlier solves do not widen it the way
+// they widen a t-interval.
+Interval paired_interval(const std::vector<double>& base,
+                         const std::vector<double>& armed) {
+  std::vector<double> d;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    d.push_back(pct_over(armed[i], base[i]));
+  }
+  std::sort(d.begin(), d.end());
+  const std::size_t n = d.size();
+  std::size_t k = 0;
+  double tail = 0.0;  // P(Binomial(n, 1/2) <= j)
+  double term = 1.0;  // C(n, j)
+  for (std::size_t j = 0; j < n; ++j) {
+    tail += term * std::ldexp(1.0, -static_cast<int>(n));
+    if (2.0 * tail > 0.05) break;
+    k = j + 1;
+    term = term * static_cast<double>(n - j) / static_cast<double>(j + 1);
+  }
+  const double median = bench::compute_stats(d).median;
+  if (k == 0) return {median, d.front(), d.back()};
+  return {median, d[k - 1], d[n - k]};
 }
 
 }  // namespace
@@ -66,35 +117,46 @@ double pct_over(double value, double base) {
 int main(int argc, char** argv) {
   bench::Harness harness("probe_overhead", &argc, argv);
   const bool quick = harness.quick();
-  const int reps = quick ? 2 : 3;
+  const int pairs = quick ? 8 : 12;
+  constexpr int kMaxRounds = 4;
+  constexpr double kBudgetPct = 5.0;
+  const core::MicromagGateConfig cfg = bench_config(quick);
+  mag::kernels::set_cell_jobs(1);
 
-  // One calibration feeds every timed solve; live_probes is passive, so
-  // the reference run is identical for both configurations.
+  // One calibration feeds every timed solve; arming metrics only observes,
+  // so the reference run is the same for both arms.
   core::MicromagCalibration calib;
   {
-    core::MicromagTriangleGate gate(bench_config(false, quick));
+    core::MicromagTriangleGate gate(cfg);
     calib = gate.calibrate();
   }
 
-  // (a) Disarmed baseline: no live demodulators, metrics off.
-  obs::MetricsRegistry::disarm();
-  double base_s = time_solve(bench_config(false, quick), calib, reps);
-
-  // (b) Armed: per-probe online lock-in, convergence tracking, gauges,
-  // counters, energy series — everything but a stream consumer.
-  obs::MetricsRegistry::arm();
-  double armed_s = time_solve(bench_config(true, quick), calib, reps);
-  double armed_overhead_pct = pct_over(armed_s, base_s);
-  // Timing noise on a seconds-scale solve can fake a miss; remeasure both
-  // sides once before letting the gate fail.
-  if (armed_overhead_pct > 5.0) {
-    obs::MetricsRegistry::disarm();
-    base_s = std::min(base_s, time_solve(bench_config(false, quick), calib,
-                                         reps));
-    obs::MetricsRegistry::arm();
-    armed_s = std::min(armed_s, time_solve(bench_config(true, quick), calib,
-                                           reps));
-    armed_overhead_pct = pct_over(armed_s, base_s);
+  // (a) vs (b): interleaved pairs, metrics disarmed vs armed (per-probe
+  // gauges, counters, energy series — everything but a stream consumer).
+  // The order alternates so a drift of the host's speed hits both arms
+  // alike. While the interval straddles the budget the host has not
+  // resolved it, and another round of pairs narrows it, up to kMaxRounds.
+  std::vector<double> base_s, armed_s;
+  const auto measure_pairs = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const bool armed_first = (base_s.size() % 2) == 1;
+      const double first = time_solve(armed_first, cfg, calib);
+      const double second = time_solve(!armed_first, cfg, calib);
+      base_s.push_back(armed_first ? second : first);
+      armed_s.push_back(armed_first ? first : second);
+    }
+  };
+  // Untimed warm-up of both arms: the first solves after the calibration
+  // run pay one-time allocation and cache costs.
+  time_solve(false, cfg, calib);
+  time_solve(true, cfg, calib);
+  measure_pairs(pairs);
+  Interval armed = paired_interval(base_s, armed_s);
+  for (int round = 1; round < kMaxRounds && armed.hi > kBudgetPct &&
+                      armed.lo <= kBudgetPct;
+       ++round) {
+    measure_pairs(pairs);
+    armed = paired_interval(base_s, armed_s);
   }
 
   // (c) Streaming on top: one live consumer draining frames, plus an
@@ -112,7 +174,10 @@ int main(int argc, char** argv) {
       }
     }
   });
-  const double streamed_s = time_solve(bench_config(true, quick), calib, reps);
+  std::vector<double> streamed_s;
+  for (int i = 0; i < (quick ? 2 : 3); ++i) {
+    streamed_s.push_back(time_solve(true, cfg, calib));
+  }
   stop.store(true, std::memory_order_relaxed);
   const double j0 = now_s();
   consumer.join();  // bounded: next() waits at most 50 ms per round
@@ -124,30 +189,39 @@ int main(int argc, char** argv) {
   slow.reset();
   obs::MetricsRegistry::disarm();
 
-  harness.record_samples("disarmed_solve", "s", {base_s});
-  harness.record_samples("armed_solve", "s", {armed_s});
-  harness.record_samples("streamed_solve", "s", {streamed_s});
-  harness.add_scalar("armed_overhead_pct", armed_overhead_pct);
-  harness.add_scalar("streaming_overhead_pct", pct_over(streamed_s, armed_s));
+  harness.record_samples("disarmed_solve", "s", base_s);
+  harness.record_samples("armed_solve", "s", armed_s);
+  harness.record_samples("streamed_solve", "s", streamed_s);
+  const double base_median = bench::compute_stats(base_s).median;
+  const double armed_median = bench::compute_stats(armed_s).median;
+  const double streamed_median = bench::compute_stats(streamed_s).median;
+  harness.add_scalar("pairs", static_cast<double>(base_s.size()));
+  harness.add_scalar("armed_overhead_pct", armed.median);
+  harness.add_scalar("armed_overhead_ci95_lo_pct", armed.lo);
+  harness.add_scalar("armed_overhead_ci95_hi_pct", armed.hi);
+  harness.add_scalar("streaming_overhead_pct",
+                     pct_over(streamed_median, armed_median));
   harness.add_scalar("frames_streamed", static_cast<double>(frames_streamed));
   harness.add_scalar("frames_dropped_slow",
                      static_cast<double>(frames_dropped));
   harness.add_scalar("hung_streams", static_cast<double>(hung_streams));
 
   std::printf(
-      "probe overhead: disarmed %.3f s, armed %.3f s (%+.2f%%), "
-      "streamed %.3f s; %llu frames consumed, %llu dropped by the "
-      "abandoned subscriber\n",
-      base_s, armed_s, armed_overhead_pct, streamed_s,
+      "probe overhead: %zu pairs, disarmed median %.3f s, armed median "
+      "%.3f s, median paired overhead %+.2f%% (95%% CI %+.2f%% .. "
+      "%+.2f%%), streamed median %.3f s; %llu frames consumed, %llu "
+      "dropped by the abandoned subscriber\n",
+      base_s.size(), base_median, armed_median, armed.median, armed.lo,
+      armed.hi, streamed_median,
       static_cast<unsigned long long>(frames_streamed),
       static_cast<unsigned long long>(frames_dropped));
 
   bool ok = harness.finish();
-  if (armed_overhead_pct > 5.0) {
+  if (armed.hi > kBudgetPct) {
     std::fprintf(stderr,
-                 "bench_probe_overhead: armed overhead %.2f%% exceeds the "
-                 "5%% budget\n",
-                 armed_overhead_pct);
+                 "bench_probe_overhead: armed overhead interval %+.2f%% .. "
+                 "%+.2f%% is not below the %.0f%% budget\n",
+                 armed.lo, armed.hi, kBudgetPct);
     ok = false;
   }
   if (hung_streams != 0) {

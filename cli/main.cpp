@@ -80,8 +80,9 @@ int usage() {
       "  compare    (regenerate the paper's Table III)\n"
       "  micromag   [--xor] [--lambda <nm>] [--width <nm>] [--cell <nm>]\n"
       "             [--early-stop]  (stop each LLG solve once the live\n"
-      "              port envelopes settle; logic unchanged, saved steps\n"
-      "              reported — raw amplitudes may differ from a full run)\n"
+      "              port envelopes settle; the readout averages fewer\n"
+      "              settled windows: logic unchanged, normalized outputs\n"
+      "              within 0.01 of a full run, saved steps reported)\n"
       "  batch      <jobfile> [--out <csv>] [--report <csv>] [--fail-fast]\n"
       "             (jobfile: one 'truthtable ...' or 'yield ...' per line;\n"
       "              failed jobs are reported, healthy rows still returned)\n"

@@ -48,7 +48,8 @@
 #      swsim.profile/1 dump carries a physics block with a real
 #      converged_at; and an `--early-stop` run that must save integration
 #      steps while producing exactly the same logic truth table as the
-#      full-length run (docs/OBSERVABILITY.md §8).
+#      full-length run, with normalized O1/O2 within 0.01 of it
+#      (docs/OBSERVABILITY.md §8).
 #
 # Usage: scripts/check.sh [build-dir]           (default: build)
 # Env:   SWSIM_CHECK_SKIP_TSAN=1 skips stage 2 (e.g. toolchains without
@@ -525,6 +526,20 @@ else
   done
   if ! diff -u "${PROBE_DIR}/full.logic" "${PROBE_DIR}/early.logic"; then
     echo "stage 10: --early-stop changed the detected logic" >&2
+    exit 1
+  fi
+  # Both runs read the same settled demodulator windows, so the normalized
+  # O1/O2 columns agree within the tolerance test_readout_convergence uses.
+  for f in full early; do
+    grep -E '^[01] ' "${PROBE_DIR}/${f}.txt" \
+      | awk '{print $1 $2 $3, $4, $5}' > "${PROBE_DIR}/${f}.norm"
+  done
+  if ! paste -d' ' "${PROBE_DIR}/full.norm" "${PROBE_DIR}/early.norm" \
+      | awk '{ for (i = 2; i <= 3; ++i) { d = $i - $(i + 3); if (d < 0) d = -d;
+               if (d > 0.01) { printf "row %s col %d: full %s vs early %s\n",
+                 $1, i - 1, $i, $(i + 3); bad = 1 } } }
+             END { exit bad }' >&2; then
+    echo "stage 10: --early-stop moved normalized O1/O2 by more than 0.01" >&2
     exit 1
   fi
   echo "stage 10: physics telemetry smoke passed"

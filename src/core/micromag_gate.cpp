@@ -36,20 +36,10 @@ Mask rasterize_shifted(const Grid& g, const geom::Shape& shape, double ox,
   return mask;
 }
 
-// Lock-in over the tail of a probe's record.
-LockinResult tail_lockin(const std::vector<double>& t,
-                         const std::vector<double>& x, double f0,
-                         double settle_fraction) {
-  if (t.size() < 8) {
-    throw std::runtime_error(
-        "MicromagTriangleGate: too few probe samples for lock-in");
-  }
-  const auto i0 = static_cast<std::size_t>(
-      settle_fraction * static_cast<double>(t.size()));
-  const std::vector<double> window(x.begin() + static_cast<long>(i0), x.end());
-  const double dt = t[1] - t[0];
-  return lockin(window, dt, f0, t[i0]);
-}
+// Detector probes sample 32 times per drive period; their demodulators
+// read tumbling windows of 4 whole periods.
+constexpr double kSamplesPerPeriod = 32.0;
+constexpr std::size_t kWindowSamples = 128;
 
 }  // namespace
 
@@ -63,10 +53,6 @@ MicromagTriangleGate::MicromagTriangleGate(const MicromagGateConfig& config)
   if (config_.cell_size > config_.params.wavelength / 4.0) {
     throw std::invalid_argument(
         "MicromagTriangleGate: need >= 4 cells per wavelength");
-  }
-  if (!(config_.settle_fraction > 0.0) || config_.settle_fraction >= 0.95) {
-    throw std::invalid_argument(
-        "MicromagTriangleGate: settle_fraction must be in (0, 0.95)");
   }
 
   const double k = wavenet::Dispersion::k_of_lambda(config_.params.wavelength);
@@ -148,8 +134,8 @@ MicromagTriangleGate::MicromagTriangleGate(const MicromagGateConfig& config)
     }
   }
 
-  // Longest input->output path sets the transit time (the convergence
-  // trackers' earliest-decision floor, and the default duration).
+  // Longest input->output path sets the transit time, from which the
+  // settle time and the default duration follow.
   double longest = 0.0;
   for (Port in : {Port::kIn1, Port::kIn2, Port::kIn3}) {
     if (in == Port::kIn3 && !config_.params.has_third_input) continue;
@@ -157,14 +143,29 @@ MicromagTriangleGate::MicromagTriangleGate(const MicromagGateConfig& config)
       longest = std::max(longest, layout_.path_length(in, out));
     }
   }
-  transit_time_ = longest / dispersion_.group_velocity(k);
+  const double transit_time = longest / dispersion_.group_velocity(k);
+  settle_time_ = transit_time + 8.0 / frequency_;
 
   if (config_.duration > 0.0) {
     duration_ = config_.duration;
   } else {
     // Give the wave twice the transit time plus a generous settled window
     // for the lock-in.
-    duration_ = 2.0 * transit_time_ + 20.0 / frequency_;
+    duration_ = 2.0 * transit_time + 20.0 / frequency_;
+  }
+  // Sample i lands on the first step at or after i * sample_dt, so the
+  // first window whose start mark is past the settle time is whole by
+  // its last sample's mark plus one step.
+  const double sample_dt = 1.0 / (kSamplesPerPeriod * frequency_);
+  const double window = static_cast<double>(kWindowSamples) * sample_dt;
+  const double first_start = std::ceil(settle_time_ / window) * window;
+  const double needed = first_start + window - sample_dt + config_.dt;
+  if (duration_ < needed) {
+    throw std::invalid_argument(
+        "MicromagTriangleGate: duration " + std::to_string(duration_ * 1e9) +
+        " ns leaves no whole demodulator window after the settle time " +
+        std::to_string(settle_time_ * 1e9) + " ns (needs >= " +
+        std::to_string(needed * 1e9) + " ns)");
   }
 }
 
@@ -193,88 +194,67 @@ MicromagEvaluation MicromagTriangleGate::run(const std::vector<bool>& inputs) {
     sim.set_stepper(swsim::mag::StepperKind::kRk4, config_.dt);
   }
 
+  // A port's antenna or detector patch: extent long along the guide, one
+  // waveguide width across, clipped to the body.
   const double extent =
       config_.antenna_extent_factor * config_.params.wavelength;
+  const auto port_region = [&](Port port, const std::string& what) {
+    const geom::PortSite& site = layout_.port(port);
+    const Vec3 half = site.direction * (extent / 2.0);
+    const geom::Segment patch(
+        Vec3{site.center.x - half.x - origin_x_,
+             site.center.y - half.y - origin_y_, 0},
+        Vec3{site.center.x + half.x - origin_x_,
+             site.center.y + half.y - origin_y_, 0},
+        config_.params.width);
+    Mask region = geom::rasterize(grid_, patch);
+    region &= body_;
+    if (region.count() == 0) {
+      throw std::runtime_error(name() + ": " + what + " region " +
+                               geom::to_string(port) +
+                               " rasterized to zero cells");
+    }
+    return region;
+  };
   const Port in_ports[3] = {Port::kIn1, Port::kIn2, Port::kIn3};
   for (std::size_t i = 0; i < num_inputs(); ++i) {
-    const geom::PortSite& site = layout_.port(in_ports[i]);
-    const Vec3 half = site.direction * (extent / 2.0);
-    const geom::Segment patch(
-        Vec3{site.center.x - half.x - origin_x_,
-             site.center.y - half.y - origin_y_, 0},
-        Vec3{site.center.x + half.x - origin_x_,
-             site.center.y + half.y - origin_y_, 0},
-        config_.params.width);
-    Mask region = geom::rasterize(grid_, patch);
-    region &= body_;
-    if (region.count() == 0) {
-      throw std::runtime_error(name() + ": antenna region " +
-                               geom::to_string(in_ports[i]) +
-                               " rasterized to zero cells");
-    }
     sim.add_term(std::make_unique<swsim::mag::AntennaField>(
-        std::move(region), config_.drive_amplitude, Vec3{1, 0, 0},
-        frequency_, logic_phase(inputs[i])));
+        port_region(in_ports[i], "antenna"), config_.drive_amplitude,
+        Vec3{1, 0, 0}, frequency_, logic_phase(inputs[i])));
   }
-
-  const double sample_dt = 1.0 / (32.0 * frequency_);
+  const double sample_dt = 1.0 / (kSamplesPerPeriod * frequency_);
   for (Port out : {Port::kOut1, Port::kOut2}) {
-    const geom::PortSite& site = layout_.port(out);
-    const Vec3 half = site.direction * (extent / 2.0);
-    const geom::Segment patch(
-        Vec3{site.center.x - half.x - origin_x_,
-             site.center.y - half.y - origin_y_, 0},
-        Vec3{site.center.x + half.x - origin_x_,
-             site.center.y + half.y - origin_y_, 0},
-        config_.params.width);
-    Mask region = geom::rasterize(grid_, patch);
-    region &= body_;
-    if (region.count() == 0) {
-      throw std::runtime_error(name() + ": detector region " +
-                               geom::to_string(out) +
-                               " rasterized to zero cells");
-    }
-    sim.add_probe(geom::to_string(out), region, sample_dt);
+    sim.add_probe(geom::to_string(out), port_region(out, "detector"),
+                  sample_dt)
+        .arm_demodulator(frequency_, kWindowSamples);
   }
 
-  if (config_.live_probes) {
-    // 32 samples per drive period (sample_dt above), so demod_periods
-    // drive periods span demod_periods * 32 samples per tumbling window.
-    const auto window = static_cast<std::size_t>(std::max(
-        2.0, std::round(config_.demod_periods / (sample_dt * frequency_))));
-    for (const char* out : {"O1", "O2"}) {
-      sim.probe(out).arm_demodulator(frequency_, window);
-    }
-    swsim::obs::ConvergencePolicy policy = config_.convergence;
-    if (policy.min_time <= 0.0) {
-      // Never decide before the wave has reached the farthest output and
-      // had a few periods to settle.
-      policy.min_time = transit_time_ + 8.0 / frequency_;
-    }
-    sim.set_convergence(policy, config_.early_stop);
-    std::string label = name() + " ";
-    for (const bool b : inputs) label += b ? '1' : '0';
-    sim.set_telemetry_label(std::move(label));
-  }
-
+  swsim::obs::ConvergencePolicy policy = config_.convergence;
+  if (policy.min_time <= 0.0) policy.min_time = settle_time_;
+  sim.set_convergence(policy, config_.early_stop);
+  std::string bits;
+  for (const bool b : inputs) bits += b ? '1' : '0';
+  sim.set_telemetry_label(name() + " " + bits);
   sim.set_watchdog(config_.watchdog);
   if (cancel_token_) sim.set_cancel_token(*cancel_token_);
   const robust::Status solve = sim.run_guarded(duration_);
   if (!solve.is_ok()) {
-    std::string in_bits;
-    for (const bool b : inputs) in_bits += b ? '1' : '0';
-    throw robust::SolveError(
-        solve.with_context(name() + " inputs=" + in_bits));
+    throw robust::SolveError(solve.with_context(name() + " inputs=" + bits));
   }
 
   MicromagEvaluation ev;
   ev.frequency = frequency_;
   const auto& p1 = sim.probe("O1");
   const auto& p2 = sim.probe("O2");
-  const LockinResult l1 =
-      tail_lockin(p1.times(), p1.mx(), frequency_, config_.settle_fraction);
-  const LockinResult l2 =
-      tail_lockin(p2.times(), p2.mx(), frequency_, config_.settle_fraction);
+  const auto readout = [&](const swsim::mag::RegionProbe& p) {
+    if (const auto r = p.demodulator()->settled(settle_time_)) return *r;
+    throw std::runtime_error(
+        name() + ": " + p.name() + " has no whole demodulator window after "
+        "the settle time " + std::to_string(settle_time_ * 1e9) +
+        " ns (solve ended at " + std::to_string(sim.time() * 1e9) + " ns)");
+  };
+  const LockinResult l1 = readout(p1);
+  const LockinResult l2 = readout(p2);
   ev.o1_amplitude = l1.amplitude;
   ev.o2_amplitude = l2.amplitude;
   ev.o1_phase = l1.phase;
@@ -292,29 +272,17 @@ MicromagEvaluation MicromagTriangleGate::run(const std::vector<bool>& inputs) {
   return ev;
 }
 
-void MicromagTriangleGate::ensure_calibration() {
-  if (calibrated_) return;
-  const std::vector<bool> zeros(num_inputs(), false);
-  const MicromagEvaluation ref = run(zeros);
-  ref_amplitude_ = std::max(ref.o1_amplitude, ref.o2_amplitude);
-  if (!(ref_amplitude_ > 0.0)) {
+MicromagCalibration MicromagTriangleGate::calibrate() {
+  if (calib_) return *calib_;
+  const MicromagEvaluation ref = run(std::vector<bool>(num_inputs(), false));
+  const double amplitude = std::max(ref.o1_amplitude, ref.o2_amplitude);
+  if (!(amplitude > 0.0)) {
     throw std::runtime_error(name() +
                              ": calibration run produced zero output "
                              "amplitude - no wave reached the detectors");
   }
-  ref_phase_o1_ = ref.o1_phase;
-  ref_phase_o2_ = ref.o2_phase;
-  calibrated_ = true;
-}
-
-MicromagCalibration MicromagTriangleGate::calibrate() {
-  ensure_calibration();
-  return {ref_amplitude_, ref_phase_o1_, ref_phase_o2_};
-}
-
-std::optional<MicromagCalibration> MicromagTriangleGate::calibration() const {
-  if (!calibrated_) return std::nullopt;
-  return MicromagCalibration{ref_amplitude_, ref_phase_o1_, ref_phase_o2_};
+  calib_ = MicromagCalibration{amplitude, ref.o1_phase, ref.o2_phase};
+  return *calib_;
 }
 
 void MicromagTriangleGate::set_calibration(const MicromagCalibration& c) {
@@ -322,10 +290,7 @@ void MicromagTriangleGate::set_calibration(const MicromagCalibration& c) {
     throw std::invalid_argument(
         name() + ": injected calibration needs ref_amplitude > 0");
   }
-  ref_amplitude_ = c.ref_amplitude;
-  ref_phase_o1_ = c.ref_phase_o1;
-  ref_phase_o2_ = c.ref_phase_o2;
-  calibrated_ = true;
+  calib_ = c;
 }
 
 MicromagEvaluation MicromagTriangleGate::evaluate_full(
@@ -334,7 +299,7 @@ MicromagEvaluation MicromagTriangleGate::evaluate_full(
     throw std::invalid_argument(name() + ": expected " +
                                 std::to_string(num_inputs()) + " inputs");
   }
-  ensure_calibration();
+  const MicromagCalibration cal = calibrate();
   MicromagEvaluation ev = run(inputs);
 
   auto detect = [&](double amplitude, double phase, double ref_phase) {
@@ -349,17 +314,17 @@ MicromagEvaluation MicromagTriangleGate::evaluate_full(
       d.margin = std::fabs(dist0 - dist1) / 2.0;
     } else {
       // Threshold detection on the normalized amplitude (paper: 0.5).
-      const double normalized = amplitude / ref_amplitude_;
+      const double normalized = amplitude / cal.ref_amplitude;
       d.logic = !(normalized > 0.5);
       d.margin = std::fabs(normalized - 0.5);
     }
     return d;
   };
 
-  ev.outputs.o1 = detect(ev.o1_amplitude, ev.o1_phase, ref_phase_o1_);
-  ev.outputs.o2 = detect(ev.o2_amplitude, ev.o2_phase, ref_phase_o2_);
-  ev.outputs.normalized_o1 = ev.o1_amplitude / ref_amplitude_;
-  ev.outputs.normalized_o2 = ev.o2_amplitude / ref_amplitude_;
+  ev.outputs.o1 = detect(ev.o1_amplitude, ev.o1_phase, cal.ref_phase_o1);
+  ev.outputs.o2 = detect(ev.o2_amplitude, ev.o2_phase, cal.ref_phase_o2);
+  ev.outputs.normalized_o1 = ev.o1_amplitude / cal.ref_amplitude;
+  ev.outputs.normalized_o2 = ev.o2_amplitude / cal.ref_amplitude;
   return ev;
 }
 

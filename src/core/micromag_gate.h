@@ -6,10 +6,11 @@
 // The device is the same triangle layout at reduced scale (dimension rules
 // in units of lambda preserved; see DESIGN.md) so a full run is CPU
 // feasible: the film is discretized, antennas drive the input regions with
-// phase 0 or pi, the wave propagates and interferes, and lock-in analysis
-// at the drive frequency extracts amplitude and phase at the two detector
-// regions. Phase reference and normalization amplitude come from a
-// calibration run with all inputs at logic 0.
+// phase 0 or pi, the wave propagates and interferes, and each detector
+// probe's lock-in demodulator reads amplitude and phase at the drive
+// frequency from the windows after settle_time(). Phase reference and
+// normalization amplitude come from a calibration run with all inputs at
+// logic 0.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +37,11 @@ struct MicromagGateConfig {
   double cell_size = swsim::math::nm(4);       // in-plane discretization
   double drive_amplitude = 4.0e3;              // antenna field [A/m]
   double antenna_extent_factor = 0.25;         // antenna length in lambda
-  // Total simulated time; must cover transit to the outputs plus enough
-  // settled periods for the lock-in window. <= 0 chooses automatically from
-  // the group velocity and the longest path.
+  // Total simulated time; must hold one whole demodulator window after the
+  // settle time (the constructor throws otherwise). <= 0 chooses
+  // automatically from the group velocity and the longest path.
   double duration = 0.0;
   double dt = swsim::math::ps(0.25);           // RK4 step
-  double settle_fraction = 0.6;  // lock-in uses the last (1 - this) of t
   double temperature = 0.0;                    // K; > 0 adds thermal noise
   std::uint64_t thermal_seed = 7;
   std::optional<geom::RoughnessParams> roughness;  // edge-roughness injection
@@ -58,23 +58,15 @@ struct MicromagGateConfig {
   // (see robust/watchdog.h). Part of the cache key: a recovered solve can
   // legitimately differ bit-for-bit from an unguarded one.
   swsim::robust::WatchdogConfig watchdog;
-  // Live telemetry: with live_probes each detector probe runs an online
-  // lock-in demodulator at the drive frequency (tumbling window of
-  // demod_periods drive periods) feeding convergence tracking, the
-  // physics block of swsim.profile/1, and the serve-plane probe stream.
-  // Passive observation: the stored probe series and the offline lock-in
-  // that decides logic are untouched, so output bytes do not change.
-  bool live_probes = true;
-  double demod_periods = 4.0;
-  // Convergence policy for the live envelopes. min_time <= 0 is replaced
-  // per solve by the wave transit time to the farthest output plus a
-  // settling allowance, so a port the wave has not reached cannot count
-  // as decided.
+  // Convergence policy for the detector envelopes (4-period demodulator
+  // windows). min_time <= 0 is replaced by the settle time, so a port the
+  // wave has not reached cannot count as decided. Without early_stop the
+  // policy only labels telemetry: output is unchanged.
   swsim::obs::ConvergencePolicy convergence;
   // Terminate each LLG solve once both detector envelopes have settled.
-  // This shortens the series the offline lock-in sees, so raw amplitudes
-  // (and output bytes) may differ from a full-length solve; detected
-  // *logic* must not. Off by default.
+  // The readout then averages fewer settled windows than a full-length
+  // solve: values agree within the convergence tolerance, not to the bit,
+  // and detected logic must not change. Off by default.
   bool early_stop = false;
 };
 
@@ -91,9 +83,9 @@ struct MicromagCalibration {
 
 struct MicromagEvaluation {
   FanoutOutputs outputs;
-  double o1_amplitude = 0.0;  // raw lock-in amplitude (m_x precession)
+  double o1_amplitude = 0.0;  // settled-window lock-in amplitude (m_x)
   double o2_amplitude = 0.0;
-  double o1_phase = 0.0;      // raw lock-in phase [rad]
+  double o1_phase = 0.0;      // settled-window lock-in phase [rad]
   double o2_phase = 0.0;
   double frequency = 0.0;     // drive frequency used [Hz]
   // Final m_x map for Fig. 5-style snapshot rendering.
@@ -131,7 +123,7 @@ class MicromagTriangleGate final : public FanoutGate {
   // lazily on first use) and returns the result; idempotent.
   MicromagCalibration calibrate();
   // The calibration if one has been run or injected.
-  std::optional<MicromagCalibration> calibration() const;
+  std::optional<MicromagCalibration> calibration() const { return calib_; }
   // Injects a calibration computed by another instance with the SAME
   // config (same content hash); skips this instance's calibration run.
   void set_calibration(const MicromagCalibration& c);
@@ -147,19 +139,21 @@ class MicromagTriangleGate final : public FanoutGate {
   const swsim::math::Mask& body_mask() const { return body_; }
   const geom::TriangleGateLayout& layout() const { return layout_; }
   double simulated_duration() const { return duration_; }
+  // Wave transit time to the farthest output plus 8 drive periods: the
+  // readout averages the demodulator windows starting at or after it.
+  double settle_time() const { return settle_time_; }
 
  private:
   // Runs one simulation for the given input logic values; fills raw
   // amplitudes/phases and the snapshot.
   MicromagEvaluation run(const std::vector<bool>& inputs);
-  void ensure_calibration();
 
   MicromagGateConfig config_;
   geom::TriangleGateLayout layout_;
   wavenet::Dispersion dispersion_;
   double frequency_ = 0.0;
   double duration_ = 0.0;
-  double transit_time_ = 0.0;  // longest input->output path / group velocity
+  double settle_time_ = 0.0;  // see settle_time()
   swsim::math::Grid grid_;
   swsim::math::Mask body_;
   swsim::math::ScalarField alpha_;          // per-cell damping (absorbers)
@@ -172,10 +166,7 @@ class MicromagTriangleGate final : public FanoutGate {
   std::vector<Tail> tails_;
 
   std::optional<swsim::robust::CancelToken> cancel_token_;
-  bool calibrated_ = false;
-  double ref_amplitude_ = 0.0;
-  double ref_phase_o1_ = 0.0;
-  double ref_phase_o2_ = 0.0;
+  std::optional<MicromagCalibration> calib_;
 };
 
 }  // namespace swsim::core

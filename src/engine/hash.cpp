@@ -101,7 +101,9 @@ std::uint64_t hash_of(const core::TriangleGateConfig& c) {
 
 std::uint64_t hash_of(const core::MicromagGateConfig& c) {
   Fnv1a h;
-  h.str("MicromagGateConfig")
+  // "/2": the readout became the settled demodulator windows; entries
+  // spilled under the old tail lock-in must never be served again.
+  h.str("MicromagGateConfig/2")
       .u64(hash_of(c.params))
       .u64(hash_of(c.material))
       .f64(c.film_thickness)
@@ -110,7 +112,6 @@ std::uint64_t hash_of(const core::MicromagGateConfig& c) {
       .f64(c.antenna_extent_factor)
       .f64(c.duration)
       .f64(c.dt)
-      .f64(c.settle_fraction)
       .f64(c.temperature)
       .u64(c.thermal_seed)
       .f64(c.margin)
@@ -128,14 +129,11 @@ std::uint64_t hash_of(const core::MicromagGateConfig& c) {
         .f64(c.roughness->correlation_length)
         .u64(c.roughness->seed);
   }
-  // Early stop shortens the integration window, so the bits the offline
-  // lock-in sees depend on it and on everything shaping the stop decision.
-  // Hashed only when armed: passive telemetry (live_probes, demod window,
-  // convergence tracking without early stop) does not change output bytes
-  // and must keep the key — and any spilled cache entries — stable.
+  // Early stop sets how many settled windows the readout averages, so the
+  // bits depend on it and on the policy deciding the stop. Without it the
+  // policy only labels telemetry and is not hashed, keeping the key stable.
   if (c.early_stop) {
     h.str("early_stop")
-        .f64(c.demod_periods)
         .f64(c.convergence.rel_tolerance)
         .f64(c.convergence.abs_floor)
         .f64(c.convergence.phase_tolerance)

@@ -1,6 +1,7 @@
 #include "mag/demod.h"
 
 #include <cmath>
+#include <complex>
 #include <stdexcept>
 
 #include "math/constants.h"
@@ -20,6 +21,7 @@ LockinDemodulator::LockinDemodulator(double f0, std::size_t window_samples)
 
 bool LockinDemodulator::add_sample(double t, double x) {
   const double w = swsim::math::kTwoPi * f0_;
+  if (in_window_ == 0) t_first_.push_back(t);
   c_ += x * std::cos(w * t);
   s_ += x * std::sin(w * t);
   ++in_window_;
@@ -39,12 +41,30 @@ bool LockinDemodulator::add_sample(double t, double x) {
   return true;
 }
 
+std::optional<swsim::math::LockinResult> LockinDemodulator::settled(
+    double t_from) const {
+  std::complex<double> sum;
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < t_.size(); ++k) {
+    if (t_first_[k] < t_from) continue;
+    sum += std::polar(amplitude_[k], phase_[k]);
+    ++n;
+  }
+  if (n == 0) return std::nullopt;
+  const std::complex<double> z = sum / static_cast<double>(n);
+  return swsim::math::LockinResult{std::abs(z),
+                                   std::abs(z) > 0.0 ? std::arg(z) : 0.0, z};
+}
+
 void LockinDemodulator::restore(const Checkpoint& cp) {
-  if (cp.windows > t_.size() || cp.in_window >= window_samples_) {
+  const std::size_t started = cp.windows + (cp.in_window > 0 ? 1 : 0);
+  if (cp.windows > t_.size() || cp.in_window >= window_samples_ ||
+      started > t_first_.size()) {
     throw std::invalid_argument(
         "LockinDemodulator: checkpoint is ahead of the record");
   }
   t_.resize(cp.windows);
+  t_first_.resize(started);
   amplitude_.resize(cp.windows);
   phase_.resize(cp.windows);
   in_window_ = cp.in_window;
@@ -54,6 +74,7 @@ void LockinDemodulator::restore(const Checkpoint& cp) {
 
 void LockinDemodulator::clear() {
   t_.clear();
+  t_first_.clear();
   amplitude_.clear();
   phase_.clear();
   in_window_ = 0;

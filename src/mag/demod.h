@@ -1,16 +1,17 @@
 // Incremental quadrature (lock-in) demodulation of a probe signal.
 //
-// The offline detectors (math/lockin.h) answer "what was the amplitude and
-// phase at f0?" once, after a solve finishes. LockinDemodulator answers it
-// *during* the run: samples are accumulated against cos/sin references into
+// LockinDemodulator answers "what is the amplitude and phase at f0?"
+// *during* a run: samples are accumulated against cos/sin references into
 // I/Q sums over tumbling windows of a fixed sample count, and each completed
 // window appends one (t, amplitude, phase) point to the envelope — the live
 // port signal that convergence tracking, streaming, and early stop consume.
+// The mean over the settled windows (settled()) is the gate's readout.
 //
 // The per-window math matches math/lockin.cpp exactly (re = 2c/n,
 // im = -2s/n, amplitude = hypot, phase = atan2(im, re), cos convention), so
 // a window spanning whole periods of a pure tone reproduces the offline
-// estimate.
+// estimate; unlike it, each reference is taken at the sample's own time,
+// so step-quantized (non-uniform) probe samples are read correctly.
 //
 // Rewind contract: the divergence-recovery path (Simulation::run_guarded)
 // checkpoints probes and re-solves from a magnetization snapshot. A
@@ -21,7 +22,10 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
+
+#include "math/lockin.h"
 
 namespace swsim::mag {
 
@@ -31,8 +35,6 @@ class LockinDemodulator {
   // tumbling-window length in samples. Throws std::invalid_argument.
   LockinDemodulator(double f0, std::size_t window_samples);
 
-  double frequency() const { return f0_; }
-  std::size_t window_samples() const { return window_samples_; }
 
   // Feeds one sample x(t). Returns true when this sample completed a
   // window (one envelope point was appended).
@@ -44,6 +46,10 @@ class LockinDemodulator {
   const std::vector<double>& amplitude() const { return amplitude_; }
   const std::vector<double>& phase() const { return phase_; }
   std::size_t window_count() const { return t_.size(); }
+
+  // Mean (re, im) phasor of the completed windows whose first sample is at
+  // or after t_from (= one lock-in over their union); nullopt if none.
+  std::optional<swsim::math::LockinResult> settled(double t_from) const;
 
   void clear();
 
@@ -66,6 +72,7 @@ class LockinDemodulator {
   double c_ = 0.0;
   double s_ = 0.0;
   std::vector<double> t_, amplitude_, phase_;
+  std::vector<double> t_first_;  // per window, the open one included
 };
 
 }  // namespace swsim::mag

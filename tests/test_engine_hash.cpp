@@ -145,6 +145,19 @@ TEST(HashOf, MicromagConfigIncludesSeededPhysics) {
   EXPECT_NE(key, rough_key);
   c.roughness->seed += 1;
   EXPECT_NE(rough_key, hash_of(c));
+
+  // Early stop changes how many settled windows the readout averages, so
+  // it is part of the key, together with the policy that decides the stop.
+  c = base;
+  c.early_stop = true;
+  const std::uint64_t early_key = hash_of(c);
+  EXPECT_NE(key, early_key);
+  c.convergence.windows += 1;
+  EXPECT_NE(early_key, hash_of(c));
+  // Without early stop the policy only labels the run: same key.
+  c = base;
+  c.convergence.windows += 1;
+  EXPECT_EQ(key, hash_of(c));
 }
 
 TEST(HashOf, VariabilityModel) {

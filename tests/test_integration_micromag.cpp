@@ -45,9 +45,52 @@ TEST(MicromagGate, ConfigValidation) {
   cfg.cell_size = cfg.params.wavelength;  // < 4 cells per wavelength
   EXPECT_THROW(MicromagTriangleGate{cfg}, std::invalid_argument);
 
-  cfg = xor_config();
-  cfg.settle_fraction = 0.99;
-  EXPECT_THROW(MicromagTriangleGate{cfg}, std::invalid_argument);
+}
+
+TEST(MicromagGate, DurationWithoutASettledWindowThrows) {
+  // The readout averages the demodulator windows that start after the
+  // settle time; a duration that ends before one of them completes is
+  // rejected at construction, naming both times.
+  const MicromagTriangleGate reference(xor_config());
+  MicromagGateConfig cfg = xor_config();
+  cfg.duration = reference.settle_time() + 1.0 / reference.drive_frequency();
+  try {
+    MicromagTriangleGate gate(cfg);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("duration " + std::to_string(cfg.duration * 1e9)),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("settle time " +
+                       std::to_string(reference.settle_time() * 1e9)),
+              std::string::npos)
+        << msg;
+  }
+  // Ten more drive periods hold a whole window.
+  cfg.duration += 10.0 / reference.drive_frequency();
+  EXPECT_NO_THROW(MicromagTriangleGate{cfg});
+}
+
+TEST(MicromagGate, EarlyStopBeforeASettledWindowThrows) {
+  // A convergence policy that decides long before the settle time stops
+  // the solve with no settled window to read: an error naming the times,
+  // not a reading of the transient.
+  MicromagGateConfig cfg = xor_config();
+  cfg.early_stop = true;
+  cfg.convergence.min_time = 1e-15;
+  cfg.convergence.windows = 1;
+  cfg.convergence.abs_floor = 1.0;
+  cfg.convergence.phase_tolerance = 10.0;
+  MicromagTriangleGate gate(cfg);
+  try {
+    (void)gate.calibrate();
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("no whole demodulator window"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(MicromagGate, RejectsWrongArity) {

@@ -90,12 +90,14 @@ TEST(WavePropagation, AntennaPhaseShiftsWavePhase) {
     Mask probe_region(sim.system().grid());
     probe_region.set_at(40, 0, true);
     auto& probe = sim.add_probe("p", probe_region, 1.0 / (32.0 * f));
+    // Probe samples land on solver steps, so they are not uniformly
+    // spaced: read them with the time-true demodulator (4-period windows),
+    // averaged over the windows after the turn-on transient.
+    probe.arm_demodulator(f, 128);
     sim.run(ns(1.0));
-    const auto& t = probe.times();
-    const auto i0 = static_cast<std::size_t>(0.6 * t.size());
-    std::vector<double> tail(probe.mx().begin() + static_cast<long>(i0),
-                             probe.mx().end());
-    return lockin(tail, t[1] - t[0], f, t[i0]);
+    const auto r = probe.demodulator()->settled(ns(0.6));
+    EXPECT_TRUE(r.has_value());
+    return r.value_or(LockinResult{});
   };
 
   const auto r0 = run_phase(0.0);
@@ -163,16 +165,17 @@ TEST(WavePropagation, BelowFmrNoPropagation) {
   const double sample_dt = 1.0 / (32.0 * f_low);
   auto& near_probe = sim.add_probe("near", near_region, sample_dt);
   auto& far_probe = sim.add_probe("far", far_region, sample_dt);
+  // One-period demodulator windows (32 samples) at the drive frequency.
+  near_probe.arm_demodulator(f_low, 32);
+  far_probe.arm_demodulator(f_low, 32);
   // f_low ~ 1.1 GHz has a ~0.9 ns period: run long enough for several
-  // settled periods in the lock-in window.
+  // settled periods after the turn-on transient.
   sim.run(ns(4.0));
 
   auto tail_amp = [&](const mag::RegionProbe& p) {
-    const auto& t = p.times();
-    const auto i0 = static_cast<std::size_t>(0.4 * t.size());
-    std::vector<double> tail(p.mx().begin() + static_cast<long>(i0),
-                             p.mx().end());
-    return lockin(tail, t[1] - t[0], f_low, t[i0]).amplitude;
+    const auto r = p.demodulator()->settled(ns(1.6));
+    EXPECT_TRUE(r.has_value());
+    return r.value_or(LockinResult{}).amplitude;
   };
   const double near_amp = tail_amp(near_probe);
   const double far_amp = tail_amp(far_probe);

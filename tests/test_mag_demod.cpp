@@ -153,5 +153,37 @@ TEST(LockinDemodulator, RestoreAheadOfRecordThrows) {
   EXPECT_THROW(demod.restore(cp), std::invalid_argument);
 }
 
+TEST(LockinDemodulator, SettledAveragesThePhasorsOfLateWindows) {
+  // Window 0 holds a loud transient; windows 1 and 2 hold unit tones a
+  // quarter period apart. The readout from window 1's first sample on is
+  // their mean phasor (re, im) = (0.5, 0.5), not a mean of amplitudes.
+  const std::size_t n = 2 * kPerPeriod;
+  LockinDemodulator demod(kF0, n);
+  const auto feed = [&](std::size_t window, double amplitude, double phase) {
+    for (std::size_t i = window * n; i < (window + 1) * n; ++i) {
+      const double t = static_cast<double>(i) * kDt;
+      demod.add_sample(t, amplitude * std::cos(math::kTwoPi * kF0 * t + phase));
+    }
+  };
+  feed(0, 5.0, 2.0);
+  feed(1, 1.0, 0.0);
+  feed(2, 1.0, math::kPi / 2.0);
+  const double window1 = static_cast<double>(n) * kDt;
+
+  const auto r = demod.settled(window1);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_NEAR(r->phasor.real(), 0.5, 1e-12);
+  EXPECT_NEAR(r->phasor.imag(), 0.5, 1e-12);
+  EXPECT_NEAR(r->amplitude, std::sqrt(0.5), 1e-12);
+  EXPECT_NEAR(r->phase, math::kPi / 4.0, 1e-12);
+
+  // A window counts only when its first sample is at or after t_from.
+  const auto late = demod.settled(window1 + 0.5 * kDt);
+  ASSERT_TRUE(late.has_value());
+  EXPECT_NEAR(late->amplitude, 1.0, 1e-12);
+  EXPECT_NEAR(late->phase, math::kPi / 2.0, 1e-12);
+  EXPECT_FALSE(demod.settled(3.0 * window1).has_value());
+}
+
 }  // namespace
 }  // namespace swsim::mag

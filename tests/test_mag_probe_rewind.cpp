@@ -61,6 +61,18 @@ void expect_same_series(const RegionProbe& a, const RegionProbe& b) {
   EXPECT_EQ(a.mz(), b.mz());
 }
 
+// The gate's readout — the mean phasor of the demodulator windows that
+// start at or after t_from — must come through a rewind bit-exact.
+void expect_same_readout(const LockinDemodulator& a,
+                         const LockinDemodulator& b, double t_from) {
+  const auto ra = a.settled(t_from);
+  const auto rb = b.settled(t_from);
+  ASSERT_TRUE(ra.has_value());
+  ASSERT_TRUE(rb.has_value());
+  EXPECT_EQ(ra->amplitude, rb->amplitude);
+  EXPECT_EQ(ra->phase, rb->phase);
+}
+
 // One divergence-recovery scenario: the run length, the step the NaN is
 // injected at, and whether metrics (and so the physics registry) are armed.
 struct RewindCase {
@@ -123,6 +135,7 @@ TEST(ProbeRewind, RecoveredRunMatchesCleanHalvedRunBitExact) {
     EXPECT_EQ(d1->times(), d2->times());
     EXPECT_EQ(d1->amplitude(), d2->amplitude());
     EXPECT_EQ(d1->phase(), d2->phase());
+    expect_same_readout(*d1, *d2, 0.0);
 
     if (c.metrics) {
       ASSERT_EQ(clean_physics.probes.count("port"), 1u);
@@ -232,6 +245,9 @@ TEST(ProbeRewind, DemodulatorCheckpointRidesAlongMidWindow) {
   EXPECT_EQ(rewound.demodulator()->amplitude(),
             straight.demodulator()->amplitude());
   EXPECT_EQ(rewound.demodulator()->phase(), straight.demodulator()->phase());
+  // Window 2 was open at the checkpoint. Its first sample (t = 16) must
+  // survive the restore, so that a readout from t = 17 still leaves it out.
+  expect_same_readout(*rewound.demodulator(), *straight.demodulator(), 17.0);
 }
 
 }  // namespace
