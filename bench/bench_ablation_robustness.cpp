@@ -85,16 +85,14 @@ int main(int argc, char** argv) {
   }
   harness.record_samples("thermal_sweep", "s", {seconds_since(thermal_t0)});
   std::cout << thermal.str()
-            << "reduced-scale thermal ceiling: ~" << thermal_ceiling
-            << " K for this drive level.\n"
-            << "Scale note: the detector integrates ~15 cells of 4x4x1 nm "
-               "(superparamagnetic-scale volumes), so the thermal magnon\n"
-            << "amplitude near the operating frequency rivals the linear "
-               "spin-wave signal; the SNR grows with drive amplitude,\n"
-            << "detector volume and lock-in window, all of which are far "
-               "larger in the paper's full-size device. The paper itself\n"
-            << "defers thermal analysis to refs. [36][43] (different "
-               "devices/materials) and future work.\n\n";
+            << "reduced-scale thermal ceiling: " << thermal_ceiling
+            << " K, the highest passing temperature tested, for this drive "
+               "level.\n"
+            << "Every solve runs RK4 inside its stability bound "
+               "(docs/PHYSICS.md 1.3), so the margin measures thermal noise,\n"
+            << "not integrator growth. The paper itself defers thermal "
+               "analysis to refs. [36][43] (different devices/materials)\n"
+            << "and future work.\n\n";
 
   // 2. Edge roughness sweep.
   std::cout << "2. edge roughness (amplitude sweep, correlation 10 nm)\n\n";

@@ -268,7 +268,7 @@ void run_gate_solve(swsim::bench::Harness& harness) {
   gate.calibrate();
   const double cell_steps =
       static_cast<double>(gate.body_mask().count()) *
-      static_cast<double>(steps_per_solve(gate.simulated_duration(), cfg.dt));
+      static_cast<double>(steps_per_solve(gate.simulated_duration(), gate.dt()));
   std::cout << "\ngate solve: reduced MAJ3 row 101, "
             << gate.body_mask().count() << " magnetic of "
             << gate.grid().cell_count() << " cells\n";

@@ -70,7 +70,8 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
 echo "== stage 1b: magnetics suites under the scalar reference oracle =="
 KREF_TESTS=(test_mag_kernels test_mag_llg test_mag_simulation
-            test_integration_micromag)
+            test_mag_thermal test_integration_micromag
+            test_readout_convergence)
 for t in "${KREF_TESTS[@]}"; do
   SWSIM_KERNEL_REF=1 "${BUILD_DIR}/tests/${t}"
 done

@@ -5,8 +5,9 @@
 #include <stdexcept>
 
 #include "core/logic.h"
-#include "mag/zeeman_field.h"
+#include "mag/stability.h"
 #include "mag/thermal_field.h"
+#include "mag/zeeman_field.h"
 #include "math/constants.h"
 #include "math/lockin.h"
 
@@ -41,6 +42,11 @@ Mask rasterize_shifted(const Grid& g, const geom::Shape& shape, double ox,
 constexpr double kSamplesPerPeriod = 32.0;
 constexpr std::size_t kWindowSamples = 128;
 
+// The step is this fraction of RK4's stability bound when the configured
+// ceiling is larger: margin for the bound's linearization, and the 4 nm
+// gate's 0.5 ps default stays inside it (0.6 x 0.948 ps = 0.569 ps).
+constexpr double kStabilityFraction = 0.6;
+
 }  // namespace
 
 MicromagTriangleGate::MicromagTriangleGate(const MicromagGateConfig& config)
@@ -53,6 +59,9 @@ MicromagTriangleGate::MicromagTriangleGate(const MicromagGateConfig& config)
   if (config_.cell_size > config_.params.wavelength / 4.0) {
     throw std::invalid_argument(
         "MicromagTriangleGate: need >= 4 cells per wavelength");
+  }
+  if (!(config_.dt > 0.0)) {
+    throw std::invalid_argument("MicromagTriangleGate: dt must be > 0");
   }
 
   const double k = wavenet::Dispersion::k_of_lambda(config_.params.wavelength);
@@ -134,6 +143,17 @@ MicromagTriangleGate::MicromagTriangleGate(const MicromagGateConfig& config)
     }
   }
 
+  // The step: the configured ceiling, or a fixed fraction of RK4's
+  // stability bound on this mesh when that is smaller, so a finer mesh
+  // takes proportionally finer steps by itself.
+  {
+    const auto sim = build(std::vector<bool>(num_inputs(), false));
+    dt_ = std::min(config_.dt,
+                   kStabilityFraction *
+                       swsim::mag::stability_bound(sim->system(), sim->terms())
+                           .rk4_dt);
+  }
+
   // Longest input->output path sets the transit time, from which the
   // settle time and the default duration follow.
   double longest = 0.0;
@@ -159,7 +179,7 @@ MicromagTriangleGate::MicromagTriangleGate(const MicromagGateConfig& config)
   const double sample_dt = 1.0 / (kSamplesPerPeriod * frequency_);
   const double window = static_cast<double>(kWindowSamples) * sample_dt;
   const double first_start = std::ceil(settle_time_ / window) * window;
-  const double needed = first_start + window - sample_dt + config_.dt;
+  const double needed = first_start + window - sample_dt + dt_;
   if (duration_ < needed) {
     throw std::invalid_argument(
         "MicromagTriangleGate: duration " + std::to_string(duration_ * 1e9) +
@@ -181,47 +201,52 @@ bool MicromagTriangleGate::reference(const std::vector<bool>& inputs) const {
   return xor2(inputs.at(0), inputs.at(1));
 }
 
-MicromagEvaluation MicromagTriangleGate::run(const std::vector<bool>& inputs) {
-  swsim::mag::System sys(grid_, config_.material, body_);
-  sys.set_alpha_field(alpha_);
-  swsim::mag::Simulation sim(std::move(sys));
-  sim.add_standard_terms();
-  if (config_.temperature > 0.0) {
-    sim.add_term(std::make_unique<swsim::mag::ThermalField>(
-        config_.temperature, config_.thermal_seed));
-    sim.set_stepper(swsim::mag::StepperKind::kHeun, config_.dt);
-  } else {
-    sim.set_stepper(swsim::mag::StepperKind::kRk4, config_.dt);
-  }
-
-  // A port's antenna or detector patch: extent long along the guide, one
-  // waveguide width across, clipped to the body.
+Mask MicromagTriangleGate::port_region(Port port,
+                                       const std::string& what) const {
   const double extent =
       config_.antenna_extent_factor * config_.params.wavelength;
-  const auto port_region = [&](Port port, const std::string& what) {
-    const geom::PortSite& site = layout_.port(port);
-    const Vec3 half = site.direction * (extent / 2.0);
-    const geom::Segment patch(
-        Vec3{site.center.x - half.x - origin_x_,
-             site.center.y - half.y - origin_y_, 0},
-        Vec3{site.center.x + half.x - origin_x_,
-             site.center.y + half.y - origin_y_, 0},
-        config_.params.width);
-    Mask region = geom::rasterize(grid_, patch);
-    region &= body_;
-    if (region.count() == 0) {
-      throw std::runtime_error(name() + ": " + what + " region " +
-                               geom::to_string(port) +
-                               " rasterized to zero cells");
-    }
-    return region;
-  };
+  const geom::PortSite& site = layout_.port(port);
+  const Vec3 half = site.direction * (extent / 2.0);
+  const geom::Segment patch(
+      Vec3{site.center.x - half.x - origin_x_,
+           site.center.y - half.y - origin_y_, 0},
+      Vec3{site.center.x + half.x - origin_x_,
+           site.center.y + half.y - origin_y_, 0},
+      config_.params.width);
+  Mask region = geom::rasterize(grid_, patch);
+  region &= body_;
+  if (region.count() == 0) {
+    throw std::runtime_error(name() + ": " + what + " region " +
+                             geom::to_string(port) +
+                             " rasterized to zero cells");
+  }
+  return region;
+}
+
+std::unique_ptr<swsim::mag::Simulation> MicromagTriangleGate::build(
+    const std::vector<bool>& inputs) const {
+  swsim::mag::System sys(grid_, config_.material, body_);
+  sys.set_alpha_field(alpha_);
+  auto sim = std::make_unique<swsim::mag::Simulation>(std::move(sys));
+  sim->add_standard_terms();
+  if (config_.temperature > 0.0) {
+    sim->add_term(std::make_unique<swsim::mag::ThermalField>(
+        config_.temperature, config_.thermal_seed));
+  }
   const Port in_ports[3] = {Port::kIn1, Port::kIn2, Port::kIn3};
   for (std::size_t i = 0; i < num_inputs(); ++i) {
-    sim.add_term(std::make_unique<swsim::mag::AntennaField>(
+    sim->add_term(std::make_unique<swsim::mag::AntennaField>(
         port_region(in_ports[i], "antenna"), config_.drive_amplitude,
         Vec3{1, 0, 0}, frequency_, logic_phase(inputs[i])));
   }
+  return sim;
+}
+
+MicromagEvaluation MicromagTriangleGate::run(const std::vector<bool>& inputs) {
+  const auto built = build(inputs);
+  swsim::mag::Simulation& sim = *built;
+  sim.set_stepper(swsim::mag::StepperKind::kRk4, dt_);
+
   const double sample_dt = 1.0 / (kSamplesPerPeriod * frequency_);
   for (Port out : {Port::kOut1, Port::kOut2}) {
     sim.add_probe(geom::to_string(out), port_region(out, "detector"),

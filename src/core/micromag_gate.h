@@ -41,7 +41,10 @@ struct MicromagGateConfig {
   // settle time (the constructor throws otherwise). <= 0 chooses
   // automatically from the group velocity and the longest path.
   double duration = 0.0;
-  double dt = swsim::math::ps(0.25);           // RK4 step
+  // RK4 step ceiling. Every solve steps at min(dt, 0.6 x the RK4
+  // stability bound of this mesh, mag/stability.h): 0.5 ps on the default
+  // 4 nm cells (bound 0.948 ps), 0.143 ps on 2 nm cells (bound 0.2385 ps).
+  double dt = swsim::math::ps(0.5);
   double temperature = 0.0;                    // K; > 0 adds thermal noise
   std::uint64_t thermal_seed = 7;
   std::optional<geom::RoughnessParams> roughness;  // edge-roughness injection
@@ -139,6 +142,9 @@ class MicromagTriangleGate final : public FanoutGate {
   const swsim::math::Mask& body_mask() const { return body_; }
   const geom::TriangleGateLayout& layout() const { return layout_; }
   double simulated_duration() const { return duration_; }
+  // The RK4 step every solve of this gate takes: config.dt, capped at
+  // 0.6 of the stepper's stability bound on this mesh.
+  double dt() const { return dt_; }
   // Wave transit time to the farthest output plus 8 drive periods: the
   // readout averages the demodulator windows starting at or after it.
   double settle_time() const { return settle_time_; }
@@ -147,12 +153,20 @@ class MicromagTriangleGate final : public FanoutGate {
   // Runs one simulation for the given input logic values; fills raw
   // amplitudes/phases and the snapshot.
   MicromagEvaluation run(const std::vector<bool>& inputs);
+  // The system and field terms one solve integrates, without stepper or
+  // probes: what run() solves, and what the stability bound is read from.
+  std::unique_ptr<swsim::mag::Simulation> build(
+      const std::vector<bool>& inputs) const;
+  // A port's antenna or detector patch: antenna_extent_factor lambda
+  // along the guide, one waveguide width across, clipped to the body.
+  swsim::math::Mask port_region(geom::Port port, const std::string& what) const;
 
   MicromagGateConfig config_;
   geom::TriangleGateLayout layout_;
   wavenet::Dispersion dispersion_;
   double frequency_ = 0.0;
   double duration_ = 0.0;
+  double dt_ = 0.0;           // see dt()
   double settle_time_ = 0.0;  // see settle_time()
   swsim::math::Grid grid_;
   swsim::math::Mask body_;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <exception>
 
 namespace swsim::engine {
 
@@ -99,11 +100,28 @@ std::uint64_t hash_of(const core::TriangleGateConfig& c) {
       .digest();
 }
 
+namespace {
+
+// The RK4 step a gate of this config solves at: dt is only a ceiling, and
+// every ceiling above the mesh's stability cap gives the same bits. A
+// config the gate rejects fails when its job builds the gate; its key
+// only has to be deterministic, so it hashes the ceiling.
+double step_taken(const core::MicromagGateConfig& c) {
+  try {
+    return core::MicromagTriangleGate(c).dt();
+  } catch (const std::exception&) {
+    return c.dt;
+  }
+}
+
+}  // namespace
+
 std::uint64_t hash_of(const core::MicromagGateConfig& c) {
   Fnv1a h;
-  // "/2": the readout became the settled demodulator windows; entries
-  // spilled under the old tail lock-in must never be served again.
-  h.str("MicromagGateConfig/2")
+  // "/3": the key holds the step the gate takes, not the dt ceiling, and
+  // thermal solves moved from Heun to RK4; entries spilled under "/2"
+  // (settled-window readout, raw dt) must never be served again.
+  h.str("MicromagGateConfig/3")
       .u64(hash_of(c.params))
       .u64(hash_of(c.material))
       .f64(c.film_thickness)
@@ -111,7 +129,7 @@ std::uint64_t hash_of(const core::MicromagGateConfig& c) {
       .f64(c.drive_amplitude)
       .f64(c.antenna_extent_factor)
       .f64(c.duration)
-      .f64(c.dt)
+      .f64(step_taken(c))
       .f64(c.temperature)
       .u64(c.thermal_seed)
       .f64(c.margin)

@@ -6,6 +6,7 @@
 
 #include "engine/thread_pool.h"
 #include "mag/kernels/runtime.h"
+#include "mag/thermal_field.h"
 #include "mag/zeeman_field.h"
 #include "math/constants.h"
 #include "obs/clock.h"
@@ -129,6 +130,12 @@ void SolveContext::resolve_ops(double t) {
         e.dz = op.az * s;
         break;
       }
+      case OpKind::kThermal:
+        // Draws the step's noise on its first evaluation, exactly where
+        // the reference accumulate() would.
+        e.noise = op.thermal->noise(*plan_->sys, e.pref);
+        e.skip = e.noise == nullptr;
+        break;
     }
     eval_ops_.push_back(e);
   }

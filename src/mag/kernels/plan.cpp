@@ -40,8 +40,8 @@ std::unique_ptr<KernelPlan> build_plan(
 
   auto plan = std::make_unique<KernelPlan>();
 
-  // Lower the terms first: the common rejection (a thermal or Newell demag
-  // term in the set) must cost O(terms), not O(cells).
+  // Lower the terms first: the rejection (a Newell demag term in the set)
+  // must cost O(terms), not O(cells).
   plan->ops.reserve(terms.size());
   std::size_t antennas = 0;
   for (const auto& term : terms) {

@@ -244,6 +244,14 @@ inline void fused_block(const KernelPlan& p, const double* __restrict mx,
           hz = V::gated_add(hz, g, V::set1(op.dz));
         }
         break;
+      case OpKind::kThermal:
+        if (!op.skip) {
+          const V sigma = V::set1(op.pref);
+          hx = hx + sigma * V::load(op.noise->x.data() + s);
+          hy = hy + sigma * V::load(op.noise->y.data() + s);
+          hz = hz + sigma * V::load(op.noise->z.data() + s);
+        }
+        break;
     }
   }
   V rx, ry, rz;
@@ -342,6 +350,13 @@ void fused_edge(const KernelPlan& p, const SoaVec& m,
             hz += op.dz;
           }
           break;
+        case OpKind::kThermal:
+          if (!op.skip) {
+            hx += op.pref * op.noise->x[s];
+            hy += op.pref * op.noise->y[s];
+            hz += op.pref * op.noise->z[s];
+          }
+          break;
       }
     }
     ScalarLane rx, ry, rz;
@@ -407,6 +422,15 @@ void term_sweep(const KernelPlan& p, const SoaVec& m, const EvalOp& op,
           hx[s] += op.dx;
           hy[s] += op.dy;
           hz[s] += op.dz;
+        }
+      }
+      break;
+    case OpKind::kThermal:
+      if (!op.skip) {
+        for (std::size_t s = sb; s < se; ++s) {
+          hx[s] += op.pref * op.noise->x[s];
+          hy[s] += op.pref * op.noise->y[s];
+          hz[s] += op.pref * op.noise->z[s];
         }
       }
       break;

@@ -29,13 +29,14 @@ namespace swsim::mag::kernels {
 // to one precomputed vector (or a skip flag while its envelope is zero).
 struct EvalOp {
   OpKind kind{};
-  double pref = 0.0;              // exchange / anisotropy
+  double pref = 0.0;              // exchange / anisotropy; thermal sigma
   double ax = 0, ay = 0, az = 0;  // anisotropy axis
   double dx = 0, dy = 0, dz = 0;  // zeeman field or antenna drive at t
-  bool skip = false;              // antenna with env(t) == 0
+  bool skip = false;              // antenna with env(t) == 0, silent thermal
   std::uint8_t bit = 0;           // antenna coverage bit in plan.antenna_bits
   const std::vector<std::uint32_t>* cells = nullptr;  // antenna region list
   const std::vector<double>* gate = nullptr;          // antenna 1.0/0.0 mask
+  const SoaVec* noise = nullptr;  // thermal: this step's per-slot draw
 };
 
 // out = base + k * s, slot range [b, e). Matches "base[i] + s_expr * k[i]"

@@ -5,9 +5,9 @@
 // overhead the kernel layer removes. Instead each fusable term *compiles*
 // itself into a TermOp: an op kind plus the handful of scalars the sweep
 // needs (prefactors, axes, drive parameters, a precomputed region index
-// list). Terms that have no kernel form — the stochastic thermal field,
-// the non-local FFT demag — refuse to compile and the solver keeps the
-// scalar reference path for the whole term set.
+// list). A term that has no kernel form — the non-local FFT demag —
+// refuses to compile and the solver keeps the scalar reference path for
+// the whole term set.
 //
 // The bit-exactness contract (docs/PERFORMANCE.md): executing the ops in
 // term order per cell reproduces the reference path's per-cell floating-
@@ -21,6 +21,7 @@
 
 namespace swsim::mag {
 class Envelope;
+class ThermalField;
 }
 
 namespace swsim::mag::kernels {
@@ -31,6 +32,7 @@ enum class OpKind : std::uint8_t {
   kThinFilmDemag,  // h.z -= ms(i) * m.z  (per-cell Ms)
   kUniformZeeman,  // h += H_applied
   kAntenna,        // h += dir * (A * env(t) * sin(2 pi f t + phase)) on cells
+  kThermal,        // h += sigma * noise[s]  (per-slot noise, one draw a step)
 };
 
 struct TermOp {
@@ -45,6 +47,10 @@ struct TermOp {
   double frequency = 0.0;  // [Hz]
   double phase = 0.0;      // [rad]
   const Envelope* envelope = nullptr;  // owned by the term, outlives the plan
+
+  // Thermal only: the term whose per-slot noise the op adds; each
+  // evaluation asks it for the current step's draw (ThermalField::noise).
+  const ThermalField* thermal = nullptr;
 
   // Antenna only: region ∧ system mask, ascending, so the drive touches
   // exactly the cells it powers instead of scanning the grid.

@@ -132,7 +132,7 @@ kernels::SolveContext* Stepper::kernel_context(
     const System& sys, const std::vector<std::unique_ptr<FieldTerm>>& terms) {
   if (kernels::reference_forced()) return nullptr;
   if (kctx_ && kctx_->matches(sys, terms)) return kctx_.get();
-  // A term set that refuses to lower (thermal noise, FFT demag) is rejected
+  // A term set that refuses to lower (FFT demag) is rejected
   // in O(terms) inside create(), so retrying every step is cheap.
   kctx_ = kernels::SolveContext::create(sys, terms);
   return kctx_.get();

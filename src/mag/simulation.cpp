@@ -9,6 +9,7 @@
 #include "mag/demag_field.h"
 #include "mag/exchange_field.h"
 #include "mag/kernels/context.h"
+#include "mag/stability.h"
 #include "math/constants.h"
 
 namespace swsim::mag {
@@ -161,6 +162,11 @@ void Simulation::run(double duration) {
   if (!(duration >= 0.0)) {
     throw std::invalid_argument("Simulation::run: negative duration");
   }
+  // A fixed step past its stepper's stability bound grows the exchange
+  // band edge every step; refuse it before the first one.
+  const robust::Status stable = check_step(stability_bound(system_, terms_),
+                                           stepper_->kind(), stepper_->dt());
+  if (!stable.is_ok()) throw robust::SolveError(stable);
   const double t_end = time_ + duration;
   energy_watchdog_.reset();
   ensure_trackers();

@@ -86,16 +86,18 @@ class Simulation {
   void set_telemetry_label(std::string label);
 
   // Integrates for `duration` seconds of simulated time. Throws
-  // robust::SolveError on watchdog violation or cancellation.
+  // robust::SolveError on watchdog violation or cancellation, and with
+  // kInvalidConfig before the first step when a Heun/RK4 step exceeds the
+  // stepper's stability bound (mag/stability.h).
   void run(double duration);
 
   // Fault-tolerant run: on kNumericalDivergence the state (magnetization,
   // clock, probe records) is rewound to the call point, the step size is
   // halved, and the interval is re-solved — up to
   // watchdog().max_step_halvings times. Returns kOk on success (possibly
-  // after retries), otherwise the final failure Status; cancellation is
-  // returned immediately, never retried. Does not throw on classified
-  // failures.
+  // after retries), otherwise the final failure Status; cancellation and
+  // an unstable step (kInvalidConfig) are returned immediately, never
+  // retried. Does not throw on classified failures.
   robust::Status run_guarded(double duration);
 
   // Energy-relaxes the state by integrating with damping temporarily raised

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "mag/kernels/term_op.h"
 #include "math/constants.h"
 
 namespace swsim::mag {
@@ -24,31 +25,49 @@ double ThermalField::sigma(const System& sys, double dt) const {
                    (kMu0 * kGamma * mat.ms * v * dt));
 }
 
-void ThermalField::ensure_noise(const System& sys) {
-  if (noise_ready_ && noise_.grid() == sys.grid()) return;
-  noise_ = VectorField(sys.grid());
-  const auto& mask = sys.mask();
-  for (std::size_t i = 0; i < noise_.size(); ++i) {
-    if (!mask[i]) continue;
-    noise_[i] = {rng_.normal(), rng_.normal(), rng_.normal()};
+const kernels::SoaVec* ThermalField::noise(const System& sys,
+                                           double& scale) const {
+  if (temperature_ == 0.0 || dt_ == 0.0) return nullptr;
+  if (!noise_ready_ || noise_.size() != sys.magnetic_cell_count()) {
+    const auto& mask = sys.mask();
+    noise_.x.clear();
+    noise_.y.clear();
+    noise_.z.clear();
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      if (!mask[i]) continue;
+      noise_.x.push_back(rng_.normal());
+      noise_.y.push_back(rng_.normal());
+      noise_.z.push_back(rng_.normal());
+    }
+    noise_ready_ = true;
   }
-  noise_ready_ = true;
+  scale = sigma(sys, dt_);
+  return &noise_;
 }
 
 void ThermalField::accumulate(const System& sys, const VectorField& m,
                               double /*t*/, VectorField& h) {
-  if (temperature_ == 0.0 || dt_ == 0.0) return;
-  ensure_noise(sys);
-  const double s = sigma(sys, dt_);
+  double s = 0.0;
+  const kernels::SoaVec* n = noise(sys, s);
+  if (!n) return;
   const auto& mask = sys.mask();
+  std::size_t slot = 0;
   for (std::size_t i = 0; i < m.size(); ++i) {
-    if (mask[i]) h[i] += s * noise_[i];
+    if (!mask[i]) continue;
+    h[i] += s * Vec3{n->x[slot], n->y[slot], n->z[slot]};
+    ++slot;
   }
+}
+
+bool ThermalField::compile_kernel(const System&, kernels::TermOp& op) const {
+  op.kind = kernels::OpKind::kThermal;  // h += sigma * noise[s]
+  op.thermal = this;
+  return true;
 }
 
 void ThermalField::advance_step(double dt) {
   dt_ = dt;
-  // Force a fresh noise draw at the next accumulate().
+  // Force a fresh noise draw at the next evaluation.
   noise_ready_ = false;
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include <cmath>
 
 #include "core/derived_gates.h"
@@ -219,6 +222,17 @@ struct GateSweepParam {
   double lambda_nm;
   wavenet::SplitPolicy split;
 };
+
+// Prints a parameter as "arm6_axis8_feed4_lambda55_unitary". ctest names
+// each case by this printout (gtest_discover_tests replaces the case index
+// with it); the default printer dumps the struct's bytes, padding
+// included, and those names changed from build to build.
+void PrintTo(const GateSweepParam& p, std::ostream* os) {
+  const auto n = [](double v) { return std::to_string(static_cast<long>(v)); };
+  *os << "arm" << n(p.n_arm) << "_axis" << n(p.n_axis_half) << "_feed"
+      << n(p.n_feed) << "_lambda" << n(p.lambda_nm) << "_"
+      << (p.split == wavenet::SplitPolicy::kUnitary ? "unitary" : "lossless");
+}
 
 class TriangleGateSweep : public ::testing::TestWithParam<GateSweepParam> {};
 

@@ -158,6 +158,19 @@ TEST(HashOf, MicromagConfigIncludesSeededPhysics) {
   c = base;
   c.convergence.windows += 1;
   EXPECT_EQ(key, hash_of(c));
+
+  // The key holds the step the gate takes, not the dt ceiling: on 2 nm
+  // cells both ceilings sit above the stability cap (0.143 ps) and give the
+  // same solve, on 4 nm cells (cap 0.569 ps) they give different ones.
+  auto ceiling = [&](double cell_nm, double dt_ps) {
+    auto cc = base;
+    cc.cell_size = math::nm(cell_nm);
+    cc.dt = math::ps(dt_ps);
+    return hash_of(cc);
+  };
+  EXPECT_EQ(ceiling(2, 0.5), ceiling(2, 0.3));
+  EXPECT_NE(ceiling(4, 0.5), ceiling(4, 0.3));
+  EXPECT_NE(ceiling(2, 0.5), ceiling(2, 0.1));
 }
 
 TEST(HashOf, VariabilityModel) {

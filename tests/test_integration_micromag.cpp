@@ -36,6 +36,28 @@ TEST(MicromagGate, ConstructionSanity) {
   EXPECT_GT(gate.body_mask().count(), 100u);
 }
 
+TEST(MicromagGate, StepIsCappedByTheStabilityBound) {
+  // 4 nm cells: RK4's bound is 0.948 ps, so the 0.5 ps ceiling is taken
+  // as is; that default is also the step perfbench counts steps with.
+  const MicromagTriangleGate coarse(xor_config());
+  EXPECT_EQ(coarse.dt(), MicromagGateConfig{}.dt);
+  EXPECT_EQ(coarse.dt(), swsim::math::ps(0.5));
+  // 2 nm cells: the bound is 0.2385 ps, so the gate steps at 0.6 of it
+  // whatever the ceiling (construction only, no solve). The old 0.25 ps
+  // default sat at 1.05x that bound.
+  MicromagGateConfig fine = xor_config();
+  fine.cell_size = nm(2);
+  for (const double ceiling : {swsim::math::ps(0.5), swsim::math::ps(0.25)}) {
+    fine.dt = ceiling;
+    const MicromagTriangleGate gate(fine);
+    EXPECT_LE(gate.dt(), 0.6 * swsim::math::ps(0.2385));
+    EXPECT_GT(gate.dt(), 0.6 * swsim::math::ps(0.2380));
+  }
+  // A ceiling below the cap is the step.
+  fine.dt = swsim::math::ps(0.1);
+  EXPECT_EQ(MicromagTriangleGate(fine).dt(), swsim::math::ps(0.1));
+}
+
 TEST(MicromagGate, ConfigValidation) {
   MicromagGateConfig cfg = xor_config();
   cfg.cell_size = 0.0;

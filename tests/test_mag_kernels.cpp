@@ -128,8 +128,10 @@ struct RunResult {
 
 // Runs `steps` stepper calls under the given kernel mode and job count.
 // ref_mode: 1 = scalar reference oracle, 0 = fused kernel path.
+// temperature > 0 adds a seeded ThermalField after the other terms.
 RunResult run_steps(StepperKind kind, int ref_mode, std::size_t cell_jobs,
-                    std::size_t steps, double dt, double tolerance = 1e-5) {
+                    std::size_t steps, double dt, double tolerance = 1e-5,
+                    double temperature = 0.0) {
   KernelModeGuard guard;
   kernels::set_force_reference(ref_mode);
   kernels::set_cell_jobs(cell_jobs);
@@ -137,6 +139,9 @@ RunResult run_steps(StepperKind kind, int ref_mode, std::size_t cell_jobs,
   const Grid g = make_grid();
   const System sys(g, Material::fecob(), triangle_mask(g));
   auto terms = make_terms(g);
+  if (temperature > 0.0) {
+    terms.push_back(std::make_unique<ThermalField>(temperature, 5));
+  }
   VectorField m = initial_m(sys);
 
   Stepper stepper(kind, dt, tolerance);
@@ -178,6 +183,22 @@ TEST(KernelBitExact, Rk4MatchesReference) {
   const auto fused = run_steps(StepperKind::kRk4, 0, 1, 25, 2e-13);
   EXPECT_TRUE(bytes_identical(ref.m, fused.m));
   EXPECT_EQ(ref.stats.field_evaluations, fused.stats.field_evaluations);
+}
+
+TEST(KernelBitExact, ThermalMatchesReferenceAtAnyCellJobs) {
+  // The lowered noise op draws the oracle's numbers in the oracle's order
+  // and adds them at the same point of each cell's accumulation.
+  for (const StepperKind kind : {StepperKind::kRk4, StepperKind::kHeun}) {
+    SCOPED_TRACE(kind == StepperKind::kRk4 ? "RK4" : "Heun");
+    const auto ref = run_steps(kind, 1, 1, 25, 2e-13, 1e-5, 300.0);
+    for (const std::size_t jobs : {1u, 4u}) {
+      const auto fused = run_steps(kind, 0, jobs, 25, 2e-13, 1e-5, 300.0);
+      EXPECT_TRUE(bytes_identical(ref.m, fused.m)) << jobs << " cell jobs";
+    }
+    // The noise is live: the same solve at T = 0 ends elsewhere.
+    const auto cold = run_steps(kind, 0, 1, 25, 2e-13);
+    EXPECT_FALSE(bytes_identical(ref.m, cold.m));
+  }
 }
 
 TEST(KernelBitExact, Rkf45MatchesReferenceIncludingStepControl) {
@@ -356,6 +377,7 @@ struct Rig {
   std::size_t cell_jobs = 1;
   double dt = kRigDt;
   std::size_t cancel_at = 0;  // accepted step that fires the token; 0 = never
+  double temperature = 0.0;   // > 0 adds a seeded ThermalField
 };
 
 // Everything a solve lets a caller observe.
@@ -395,6 +417,9 @@ std::unique_ptr<Simulation> make_rig(const Rig& rig) {
   auto sim = std::make_unique<Simulation>(
       System(g, Material::fecob(), bordered_triangle_mask(g)));
   for (auto& term : make_terms(g)) sim->add_term(std::move(term));
+  if (rig.temperature > 0.0) {
+    sim->add_term(std::make_unique<ThermalField>(rig.temperature, 9));
+  }
   VectorField m0 = initial_m(sim->system());
   const auto& mask = sim->system().mask();
   for (std::size_t i = 0; i < m0.size(); ++i) {
@@ -533,29 +558,55 @@ TEST(KernelResident, CancelMidRunLeavesTheOracleState) {
   EXPECT_TRUE(same_observation(ref, solve_rig(Rig{0, 4, kRigDt, 50}, kRigRun)));
 }
 
+// run_guarded over the rig with a NaN injected at step 20, which trips the
+// cadence-8 watchdog a few steps later; run_guarded rewinds state, clock
+// and probes and re-solves at dt/2.
+Observed solve_guarded(const Rig& rig) {
+  KernelModeGuard guard;
+  ArmedMetrics metrics;
+  kernels::set_force_reference(rig.ref_mode);
+  kernels::set_cell_jobs(rig.cell_jobs);
+  robust::ScopedFaultPlan plan;
+  plan->inject_nan_at_step(20);
+  auto sim = make_rig(rig);
+  const robust::Status status = sim->run_guarded(kRigRun[0]);
+  EXPECT_TRUE(status.is_ok()) << status.message();
+  Observed o = observe(*sim);
+  o.m.push_back(sim->magnetization());
+  return o;
+}
+
 TEST(KernelResident, GuardedStepHalvingReplayIsBitExact) {
-  // A NaN injected at step 20 trips the cadence-8 watchdog a few steps
-  // later; run_guarded rewinds state, clock and probes and re-solves at
-  // dt/2.
   // The replay must match the oracle's replay and a clean dt/2 solve.
-  const auto guarded = [](int ref_mode) {
-    KernelModeGuard guard;
-    ArmedMetrics metrics;
-    kernels::set_force_reference(ref_mode);
-    robust::ScopedFaultPlan plan;
-    plan->inject_nan_at_step(20);
-    auto sim = make_rig(Rig{ref_mode});
-    const robust::Status status = sim->run_guarded(kRigRun[0]);
-    EXPECT_TRUE(status.is_ok()) << status.message();
-    Observed o = observe(*sim);
-    o.m.push_back(sim->magnetization());
-    return o;
-  };
-  const Observed ref = guarded(1);
-  const Observed fused = guarded(0);
+  const Observed ref = solve_guarded(Rig{1});
+  const Observed fused = solve_guarded(Rig{0});
   EXPECT_TRUE(same_observation(ref, fused));
   const Observed clean = solve_rig(Rig{0, 1, kRigDt / 2}, kRigRun);
   EXPECT_TRUE(same_observation(clean, fused));
+}
+
+TEST(KernelResident, ThermalSimulationMatchesOracleAtAnyCellJobs) {
+  const Rig hot{1, 1, kRigDt, 0, 300.0};
+  const Observed ref = solve_rig(hot, kRigRun);
+  ASSERT_TRUE(ref.error.empty()) << ref.error;
+  for (const std::size_t jobs : {1u, 4u}) {
+    Rig rig = hot;
+    rig.ref_mode = 0;
+    rig.cell_jobs = jobs;
+    EXPECT_TRUE(same_observation(ref, solve_rig(rig, kRigRun)))
+        << jobs << " cell jobs";
+  }
+  EXPECT_FALSE(same_observation(ref, solve_rig(Rig{1}, kRigRun)))
+      << "300 K solved like 0 K";
+}
+
+TEST(KernelResident, ThermalGuardedStepHalvingReplayIsBitExact) {
+  // The rewind does not rewind the noise stream: the dt/2 replay draws
+  // fresh noise, and both paths must draw and add the same.
+  const Observed ref = solve_guarded(Rig{1, 1, kRigDt, 0, 300.0});
+  EXPECT_EQ(ref.stats.steps_taken, 240u) << "no dt/2 replay ran";
+  EXPECT_TRUE(same_observation(ref, solve_guarded(Rig{0, 1, kRigDt, 0, 300.0})));
+  EXPECT_TRUE(same_observation(ref, solve_guarded(Rig{0, 4, kRigDt, 0, 300.0})));
 }
 
 // --- AntennaField fast-path regression ---------------------------------
@@ -599,9 +650,12 @@ TEST(KernelPlan, RejectsTermsItCannotLower) {
   const Grid g = make_grid();
   const System sys(g, Material::fecob(), triangle_mask(g));
   {
+    // Thermal noise lowers to a per-slot op; the non-local demag does not.
     std::vector<std::unique_ptr<FieldTerm>> terms;
     terms.push_back(std::make_unique<ExchangeField>());
     terms.push_back(std::make_unique<ThermalField>(300.0));
+    EXPECT_NE(kernels::build_plan(sys, terms), nullptr);
+    terms.push_back(std::make_unique<NewellDemagField>(sys));
     EXPECT_EQ(kernels::build_plan(sys, terms), nullptr);
   }
   {

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <string>
 
 #include "mag/anisotropy_field.h"
 #include "mag/demag_field.h"
 #include "mag/exchange_field.h"
+#include "mag/kernels/runtime.h"
+#include "mag/stability.h"
 #include "mag/zeeman_field.h"
 #include "math/constants.h"
 #include "wavenet/dispersion.h"
@@ -155,6 +159,88 @@ TEST(Simulation, AntennaExcitesPrecession) {
   double max_mx = 0.0;
   for (double v : probe.mx()) max_mx = std::max(max_mx, std::fabs(v));
   EXPECT_GT(max_mx, 1e-4);
+}
+
+// --- stability bound --------------------------------------------------
+
+// A FeCoB film strip at cell size `cell` with the standard terms and a
+// 4 kA/m antenna over its first quarter: the gate's term set.
+std::unique_ptr<Simulation> film_strip(double cell) {
+  const Grid g(32, 6, 1, cell, cell, 1e-9);
+  auto sim = std::make_unique<Simulation>(System(g, Material::fecob()));
+  sim->add_standard_terms();
+  Mask region(g, false);
+  for (std::size_t y = 0; y < g.ny(); ++y) {
+    for (std::size_t x = 0; x < 8; ++x) region.set(g.index(x, y, 0), true);
+  }
+  sim->add_term(std::make_unique<AntennaField>(region, 4.0e3, Vec3{1, 0, 0},
+                                               18e9, 0.0));
+  return sim;
+}
+
+TEST(StabilityBound, MatchesTheFilmBandEdgeAtEachCellSize) {
+  // omega_max = gamma mu0 (H_k - Ms + drive + (2A / mu0 Ms) 8 / d^2).
+  const Material mat = Material::fecob();
+  struct Row {
+    double cell, rk4, heun;
+  };
+  for (const Row& r : {Row{4e-9, 0.9482e-12, 0.10643e-12},
+                       Row{2e-9, 0.2385e-12, 0.02677e-12},
+                       Row{1e-9, 0.0597e-12, 0.00670e-12}}) {
+    SCOPED_TRACE("cell " + std::to_string(r.cell * 1e9) + " nm");
+    const auto sim = film_strip(r.cell);
+    const StabilityBound b = stability_bound(sim->system(), sim->terms());
+    const double h = mat.anisotropy_field() - mat.ms + 4.0e3 +
+                     2.0 * mat.aex / (kMu0 * mat.ms) * 8.0 / (r.cell * r.cell);
+    EXPECT_NEAR(b.omega_max, kGamma * kMu0 * h, 1e-9 * b.omega_max);
+    EXPECT_NEAR(b.rk4_dt, r.rk4, 1e-3 * r.rk4);
+    EXPECT_NEAR(b.heun_dt, r.heun, 1e-3 * r.heun);
+    EXPECT_EQ(b.dt_max(StepperKind::kRk4), b.rk4_dt);
+    EXPECT_EQ(b.dt_max(StepperKind::kHeun), b.heun_dt);
+    EXPECT_TRUE(std::isinf(b.dt_max(StepperKind::kRkf45)));
+  }
+}
+
+// Restores the process-wide kernel mode however a test exits.
+struct ReferenceMode {
+  explicit ReferenceMode(int mode) { kernels::set_force_reference(mode); }
+  ~ReferenceMode() { kernels::set_force_reference(-1); }
+};
+
+TEST(StabilityBound, RunRejectsAStepAboveTheBoundOnBothPaths) {
+  // 2 nm cells: the old 0.25 ps gate step is 1.05x RK4's bound there.
+  const auto probe = film_strip(2e-9);
+  const StabilityBound b = stability_bound(probe->system(), probe->terms());
+  for (const StepperKind kind : {StepperKind::kRk4, StepperKind::kHeun}) {
+    const std::string stepper = kind == StepperKind::kRk4 ? "RK4" : "Heun";
+    std::string messages[2];
+    for (const int ref : {0, 1}) {
+      SCOPED_TRACE(stepper + (ref ? " on the reference path" : " on kernels"));
+      const ReferenceMode mode(ref);
+      const double bound = b.dt_max(kind);
+      {
+        auto sim = film_strip(2e-9);
+        sim->set_stepper(kind, 1.05 * bound);
+        const robust::Status s = sim->run_guarded(20 * bound);
+        ASSERT_EQ(s.code(), robust::StatusCode::kInvalidConfig) << s.str();
+        EXPECT_FALSE(robust::is_retryable(s.code()));
+        EXPECT_NE(s.message().find(stepper), std::string::npos) << s.message();
+        EXPECT_NE(s.message().find("omega_max"), std::string::npos);
+        EXPECT_EQ(sim->stepper_stats().steps_taken, 0u);
+        EXPECT_EQ(sim->time(), 0.0);
+        EXPECT_THROW(sim->run(20 * bound), robust::SolveError);
+        messages[ref] = s.message();
+      }
+      {
+        auto sim = film_strip(2e-9);
+        sim->set_stepper(kind, 0.95 * bound);
+        const robust::Status s = sim->run_guarded(20 * bound);
+        EXPECT_TRUE(s.is_ok()) << s.str();
+        EXPECT_GE(sim->stepper_stats().steps_taken, 20u);
+      }
+    }
+    EXPECT_EQ(messages[0], messages[1]);
+  }
 }
 
 }  // namespace

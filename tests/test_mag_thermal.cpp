@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "mag/llg.h"
 #include "mag/zeeman_field.h"
@@ -60,26 +62,56 @@ TEST(ThermalField, SigmaMatchesBrownFormula) {
   EXPECT_NEAR(th.sigma(sys, dt), expected, expected * 1e-12);
 }
 
-TEST(ThermalField, NoiseStatisticsMatchSigma) {
-  const System sys(tiny(), Material::fecob());
-  ThermalField th(300.0, 11);
-  const double dt = 1e-13;
-  const auto m = sys.uniform_magnetization({0, 0, 1});
-  std::vector<double> samples;
-  for (int step = 0; step < 500; ++step) {
-    th.advance_step(dt);
-    VectorField h(sys.grid());
-    th.accumulate(sys, m, 0.0, h);
-    for (const Vec3& v : h) {
-      samples.push_back(v.x);
-      samples.push_back(v.y);
-      samples.push_back(v.z);
-    }
+// Records the field the terms before it accumulated, once per stage.
+class FieldRecorder final : public FieldTerm {
+ public:
+  explicit FieldRecorder(std::vector<VectorField>& out) : out_(out) {}
+  std::string name() const override { return "recorder"; }
+  void accumulate(const System&, const VectorField&, double,
+                  VectorField& h) override {
+    out_.push_back(h);
   }
-  const Summary s = summarize(samples);
-  const double sigma = th.sigma(sys, dt);
-  EXPECT_NEAR(s.mean, 0.0, sigma * 0.05);
-  EXPECT_NEAR(s.stddev, sigma, sigma * 0.05);
+
+ private:
+  std::vector<VectorField>& out_;
+};
+
+TEST(ThermalField, NoiseStatisticsMatchSigma) {
+  // The noise as each stepper sees it: one realization per step, the same
+  // in every stage of that step, with zero mean and standard deviation
+  // sigma(dt) across steps.
+  for (const auto& [kind, stages] :
+       {std::pair{StepperKind::kHeun, 2}, std::pair{StepperKind::kRk4, 4}}) {
+    SCOPED_TRACE(kind == StepperKind::kHeun ? "Heun" : "RK4");
+    const System sys(tiny(), Material::fecob());
+    const double dt = 1e-13;
+    std::vector<VectorField> fields;
+    std::vector<std::unique_ptr<FieldTerm>> terms;
+    terms.push_back(std::make_unique<ThermalField>(300.0, 11));
+    terms.push_back(std::make_unique<FieldRecorder>(fields));
+    Stepper stepper(kind, dt);
+    VectorField m = sys.uniform_magnetization({0, 0, 1});
+    double t = 0.0;
+    std::vector<double> samples;
+    for (int step = 0; step < 500; ++step) {
+      fields.clear();
+      t += stepper.step(sys, terms, m, t);
+      ASSERT_EQ(fields.size(), static_cast<std::size_t>(stages));
+      for (const VectorField& f : fields) {
+        ASSERT_EQ(f.data(), fields.front().data()) << "step " << step;
+      }
+      for (const Vec3& v : fields.front()) {
+        samples.push_back(v.x);
+        samples.push_back(v.y);
+        samples.push_back(v.z);
+      }
+    }
+    const Summary s = summarize(samples);
+    const double sigma =
+        static_cast<const ThermalField&>(*terms.front()).sigma(sys, dt);
+    EXPECT_NEAR(s.mean, 0.0, sigma * 0.05);
+    EXPECT_NEAR(s.stddev, sigma, sigma * 0.05);
+  }
 }
 
 TEST(ThermalField, NoiseHeldWithinStepRedrawnAcrossSteps) {
@@ -104,8 +136,9 @@ TEST(ThermalField, EnergyIsNaN) {
 
 TEST(ThermalField, EquilibriumTiltGrowsWithTemperature) {
   // Integrate a strongly damped macrospin in a field at two temperatures;
-  // the average transverse fluctuation must grow with T.
-  auto fluctuation = [&](double temperature) {
+  // the average transverse fluctuation must grow with T, on either
+  // fixed-step stepper.
+  auto fluctuation = [&](StepperKind kind, double temperature) {
     Material mat = Material::fecob();
     mat.alpha = 0.1;
     const Grid g(1, 1, 1, 5e-9, 5e-9, 5e-9);
@@ -115,7 +148,7 @@ TEST(ThermalField, EquilibriumTiltGrowsWithTemperature) {
     terms.push_back(std::make_unique<ThermalField>(temperature, 17));
     VectorField m(g);
     m[0] = Vec3{0, 0, 1};
-    Stepper stepper(StepperKind::kHeun, 5e-14);
+    Stepper stepper(kind, 5e-14);
     double t = 0.0;
     double acc = 0.0;
     std::size_t n = 0;
@@ -128,10 +161,13 @@ TEST(ThermalField, EquilibriumTiltGrowsWithTemperature) {
     }
     return acc / static_cast<double>(n);
   };
-  const double cold = fluctuation(30.0);
-  const double hot = fluctuation(300.0);
-  EXPECT_GT(hot, 3.0 * cold);
-  EXPECT_LT(hot, 1e-2);  // still a small perturbation
+  for (const StepperKind kind : {StepperKind::kHeun, StepperKind::kRk4}) {
+    SCOPED_TRACE(kind == StepperKind::kHeun ? "Heun" : "RK4");
+    const double cold = fluctuation(kind, 30.0);
+    const double hot = fluctuation(kind, 300.0);
+    EXPECT_GT(hot, 3.0 * cold);
+    EXPECT_LT(hot, 1e-2);  // still a small perturbation
+  }
 }
 
 }  // namespace
