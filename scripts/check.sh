@@ -206,7 +206,16 @@ test "$(grep -c -- ' -> ' "${PURE_DIR}/armed.txt")" -eq 3 || {
   echo "stage 6: expected three dump notices from the armed run" >&2
   exit 1
 }
-echo "stage 6: armed and bare micromag reports byte-identical"
+# The sampled attribution runs the same sweep one op at a time: every
+# lowered term of the gate must show up in the profile's term_share.
+TERM_SHARE="$(sed -n '/"term_share": {/,/}/p' "${PURE_DIR}/profile.json")"
+for term in exchange anisotropy 'demag(thin-film)' antenna; do
+  grep -qF "\"${term}\": " <<<"${TERM_SHARE}" || {
+    echo "stage 6: profile term_share lacks ${term}" >&2
+    exit 1
+  }
+done
+echo "stage 6: armed and bare micromag reports byte-identical; term_share complete"
 
 if [[ "${SWSIM_CHECK_SKIP_SERVE:-0}" == "1" ]]; then
   echo "== stage 7: serve smoke skipped (SWSIM_CHECK_SKIP_SERVE=1) =="

@@ -42,11 +42,6 @@ Mask rasterize_shifted(const Grid& g, const geom::Shape& shape, double ox,
 constexpr double kSamplesPerPeriod = 32.0;
 constexpr std::size_t kWindowSamples = 128;
 
-// The step is this fraction of RK4's stability bound when the configured
-// ceiling is larger: margin for the bound's linearization, and the 4 nm
-// gate's 0.5 ps default stays inside it (0.6 x 0.948 ps = 0.569 ps).
-constexpr double kStabilityFraction = 0.6;
-
 }  // namespace
 
 MicromagTriangleGate::MicromagTriangleGate(const MicromagGateConfig& config)
@@ -148,10 +143,8 @@ MicromagTriangleGate::MicromagTriangleGate(const MicromagGateConfig& config)
   // takes proportionally finer steps by itself.
   {
     const auto sim = build(std::vector<bool>(num_inputs(), false));
-    dt_ = std::min(config_.dt,
-                   kStabilityFraction *
-                       swsim::mag::stability_bound(sim->system(), sim->terms())
-                           .rk4_dt);
+    dt_ = swsim::mag::bounded_step(sim->system(), sim->terms(),
+                                   swsim::mag::StepperKind::kRk4, config_.dt);
   }
 
   // Longest input->output path sets the transit time, from which the

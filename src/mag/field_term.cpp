@@ -10,6 +10,8 @@ double FieldTerm::energy(const System&, const VectorField&) const {
 
 void FieldTerm::advance_step(double) {}
 
+std::function<void()> FieldTerm::checkpoint() { return {}; }
+
 bool FieldTerm::compile_kernel(const System&, kernels::TermOp&) const {
   return false;
 }

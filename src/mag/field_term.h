@@ -6,6 +6,7 @@
 // owns the loop. Terms may be time-dependent (antennas, thermal).
 #pragma once
 
+#include <functional>
 #include <string>
 
 #include "mag/system.h"
@@ -35,6 +36,11 @@ class FieldTerm {
   // the next noise realization (noise must be held fixed within one step's
   // stages for the integrator to converge).
   virtual void advance_step(double dt);
+
+  // A closure that puts the term's step-to-step state back as it is now,
+  // for a rewind (Simulation::run_guarded); empty for terms that carry
+  // none. The stochastic terms carry their noise stream.
+  virtual std::function<void()> checkpoint();
 
   // Lowers this term into a kernel TermOp for the fused SoA solve path.
   // Returns false (the default) when the term cannot be expressed as one —

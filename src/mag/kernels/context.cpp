@@ -30,6 +30,7 @@ SolveContext::SolveContext(std::unique_ptr<KernelPlan> plan)
   k6_.assign_zero(n);
   h_.assign_zero(n);
   eval_ops_.reserve(plan_->ops.size());
+  op_us_carry_.assign(plan_->ops.size(), 0.0);
 }
 
 std::unique_ptr<SolveContext> SolveContext::create(
@@ -89,7 +90,6 @@ void SolveContext::renormalize() {
 
 void SolveContext::resolve_ops(double t) {
   eval_ops_.clear();
-  std::uint8_t antenna_bit = 1;
   for (const TermOp& op : plan_->ops) {
     EvalOp e;
     e.kind = op.kind;
@@ -111,10 +111,8 @@ void SolveContext::resolve_ops(double t) {
         e.dz = op.hz;
         break;
       case OpKind::kAntenna: {
-        e.bit = antenna_bit;
-        antenna_bit = static_cast<std::uint8_t>(antenna_bit << 1);
-        e.cells = &op.cells;
-        e.gate = &op.gate;
+        e.bit = op.bit;
+        e.gate = op.gate.data();
         const double env = (*op.envelope)(t);
         if (env == 0.0) {
           // Reference accumulate() returns before touching h.
@@ -141,75 +139,42 @@ void SolveContext::resolve_ops(double t) {
   }
 }
 
-void SolveContext::eval(const SoaVec& state, double t, SoaVec& dmdt) {
-  resolve_ops(t);
-  const std::size_t slots = plan_->slots();
-  const bool sampled = obs::metrics_armed() && !plan_->ops.empty() &&
-                       (eval_count_ % kSamplePeriod == 0);
-  ++eval_count_;
-
-  if (sampled || !plan_->fused_ok) {
-    // Per-term sweeps into the field buffer, each op timed for the
-    // "mag.term.<name>.us" attribution. Bit-exact with the fused sweep:
-    // identical per-cell accumulation order, just staged through memory.
-    h_.assign_zero(slots);
-    for (std::size_t o = 0; o < eval_ops_.size(); ++o) {
-      const double t0 = obs::now_us();
-      const EvalOp& op = eval_ops_[o];
-      if (op.kind == OpKind::kAntenna) {
-        // Region index list; ignores the slot range (pass it once, whole).
-        term_sweep(*plan_, state, op, h_, 0, slots);
-      } else {
-        pfor(slots, kSlotGrain, [&](std::size_t b, std::size_t e) {
-          term_sweep(*plan_, state, op, h_, b, e);
-        });
-      }
-      if (sampled) {
-        plan_->op_us[o]->add(
-            static_cast<std::uint64_t>(obs::now_us() - t0));
-      }
-    }
-    pfor(slots, kSlotGrain, [&](std::size_t b, std::size_t e) {
-      rhs_sweep(*plan_, state, h_, dmdt, b, e);
-    });
-    return;
-  }
-
-  // Fused path. The parallel domain is interior cells (run table order)
-  // followed by edge slots; chunk boundaries depend only on the plan, so
-  // any thread count slices the same work the same way, and every slot is
-  // written by exactly one chunk.
-  const std::size_t interior = plan_->interior_total;
-  const std::size_t domain = interior + plan_->edge_slots.size();
-  pfor(domain, kSlotGrain, [&](std::size_t b, std::size_t e) {
-    if (b < interior) {
-      const std::size_t ie = std::min(e, interior);
-      const auto& pre = plan_->run_prefix;
-      std::size_t r = static_cast<std::size_t>(
-          std::upper_bound(pre.begin(), pre.end(), b) - pre.begin() - 1);
-      std::size_t pos = b;
-      while (pos < ie) {
-        const KernelPlan::Run& run = plan_->runs[r];
-        const std::size_t off = pos - pre[r];
-        const std::size_t take =
-            std::min(ie - pos, (run.e - run.b) - off);
-        fused_run(*plan_, state, eval_ops_, dmdt, run, off, off + take);
-        pos += take;
-        ++r;
-      }
-    }
-    if (e > interior) {
-      fused_edge(*plan_, state, eval_ops_, dmdt,
-                 b > interior ? b - interior : 0, e - interior);
-    }
+void SolveContext::sweep_all(const SoaVec& state, const EvalOp* ops,
+                             std::size_t nops, const SweepIo& io) {
+  // The domain is interior cells in run-table order, then edge slots;
+  // chunk boundaries depend only on the plan, so any thread count slices
+  // the same work the same way, and every slot is written by one chunk.
+  pfor(plan_->slots(), kSlotGrain, [&](std::size_t b, std::size_t e) {
+    sweep(*plan_, state, ops, nops, io, b, e);
   });
 }
 
-void SolveContext::stage1(SoaVec& out, const SoaVec& base, double s,
-                          const SoaVec& k) {
-  pfor(plan_->slots(), kSlotGrain, [&](std::size_t b, std::size_t e) {
-    axpy(out, base, s, k, b, e);
-  });
+void SolveContext::eval(const SoaVec& state, double t, SoaVec& dmdt) {
+  resolve_ops(t);
+  const bool sampled = obs::metrics_armed() && !eval_ops_.empty() &&
+                       (eval_count_ % kSamplePeriod == 0);
+  ++eval_count_;
+  if (!sampled) {
+    sweep_all(state, eval_ops_.data(), eval_ops_.size(),
+              SweepIo{nullptr, nullptr, &dmdt});
+    return;
+  }
+  // Attribution: each op alone, from and into the field buffer, timed;
+  // then the rhs from the buffer. A cell's field takes the fused sweep's
+  // values in the fused sweep's order, only staged through memory.
+  // The counters count whole microseconds; each op carries the fraction
+  // over to its next sample instead of dropping it.
+  for (std::size_t o = 0; o < eval_ops_.size(); ++o) {
+    const double t0 = obs::now_us();
+    sweep_all(state, &eval_ops_[o], 1,
+              SweepIo{o == 0 ? nullptr : &h_, &h_, nullptr});
+    double& us = op_us_carry_[o];
+    us += obs::now_us() - t0;
+    const auto whole = static_cast<std::uint64_t>(us);
+    plan_->op_us[o]->add(whole);
+    us -= static_cast<double>(whole);
+  }
+  sweep_all(state, nullptr, 0, SweepIo{&h_, nullptr, &dmdt});
 }
 
 double SolveContext::err_max(double h, const double (&c)[5],

@@ -1,6 +1,6 @@
 // Per-stepper solve context: a compiled KernelPlan plus the slot-indexed
 // solver state (m_) and every SoA scratch buffer a stepper needs (tmp_,
-// stage buffers k1..k6, one field buffer for the sampled per-term path).
+// stage buffers k1..k6, one field buffer for the sampled attribution).
 // Every buffer holds one entry per active slot, and every loop here —
 // field eval, stage combination, error norm, renormalization, health scan
 // — sweeps slots only.
@@ -55,12 +55,17 @@ class SolveContext {
 
   // One effective-field + rhs evaluation of `state` at time t into dmdt.
   // When metrics are armed, every kSamplePeriod-th evaluation runs the
-  // per-term sweeps under "mag.term.<name>.us" timers instead of the fused
-  // sweep — both are bit-exact, so sampling never perturbs the physics.
+  // same sweep one op at a time into the field buffer, each op under its
+  // "mag.term.<name>.us" timer, then a sweep with no ops from the buffer
+  // into dmdt — bit-exact, so sampling never perturbs the physics.
   void eval(const SoaVec& state, double t, SoaVec& dmdt);
 
-  // out = base + k * s over every slot (chunked when parallel).
-  void stage1(SoaVec& out, const SoaVec& base, double s, const SoaVec& k);
+  // out = base + k * s over every slot: combine<1> with coefficient 1.0.
+  void stage1(SoaVec& out, const SoaVec& base, double s, const SoaVec& k) {
+    const double one[1] = {1.0};
+    const SoaVec* const ks[1] = {&k};
+    combine(out, base, s, one, ks);
+  }
 
   // out = base + (c0*k0 + ...) * h over every slot.
   template <int N>
@@ -89,7 +94,9 @@ class SolveContext {
   // Fixed chunk size — part of the determinism contract: boundaries
   // depend on the plan, never on the job count.
   static constexpr std::size_t kSlotGrain = 1024;
-  static constexpr std::uint64_t kSamplePeriod = 16;  // per-term timing
+  // Per-op timing: a sampled evaluation sweeps once per op plus once for
+  // the rhs, so sampling every 64th keeps the armed cost near 1%.
+  static constexpr std::uint64_t kSamplePeriod = 64;
 
  private:
   explicit SolveContext(std::unique_ptr<KernelPlan> plan);
@@ -100,9 +107,14 @@ class SolveContext {
 
   void resolve_ops(double t);  // TermOps -> EvalOps at time t
 
+  // kernels::sweep over every cell of the plan.
+  void sweep_all(const SoaVec& state, const EvalOp* ops, std::size_t nops,
+                 const SweepIo& io);
+
   std::unique_ptr<KernelPlan> plan_;
   std::vector<EvalOp> eval_ops_;
-  SoaVec h_;                  // per-term path field buffer
+  SoaVec h_;                  // sampled attribution's field buffer
+  std::vector<double> op_us_carry_;  // per op: sub-microsecond remainder
   std::uint64_t eval_count_ = 0;
   bool advanced_ = false;     // m_ stepped since the last load/store
 };

@@ -43,13 +43,11 @@ std::unique_ptr<KernelPlan> build_plan(
   // Lower the terms first: the rejection (a Newell demag term in the set)
   // must cost O(terms), not O(cells).
   plan->ops.reserve(terms.size());
-  std::size_t antennas = 0;
   for (const auto& term : terms) {
     TermOp op;
     if (!term->compile_kernel(sys, op)) return nullptr;
     op.name = term->name();
     if (op.kind == OpKind::kExchange) plan->has_exchange = true;
-    if (op.kind == OpKind::kAntenna) ++antennas;
     plan->term_sig.push_back(term.get());
     plan->ops.push_back(std::move(op));
   }
@@ -101,7 +99,7 @@ std::unique_ptr<KernelPlan> build_plan(
 
   if (plan->has_exchange) {
     // Six neighbour slots per slot, reference traversal order
-    // -x,+x,-y,+y,-z,+z, for the edge/term-sweep paths. Absent or vacuum
+    // -x,+x,-y,+y,-z,+z, for the edge slots. Absent or vacuum
     // neighbours get the cell's own slot: (m[s] - m[s]) * w is an exact
     // +0.0 contribution, bit-identical to the reference skipping it.
     plan->nb.resize(6 * slots);
@@ -123,15 +121,13 @@ std::unique_ptr<KernelPlan> build_plan(
     }
   }
 
-  plan->fused_ok = antennas <= 8;
-
   // Interior runs: per x-row, maximal stride-1 spans of active cells whose
   // existing-axis neighbours are all active (only the exchange op reaches
   // off-cell, so without one every active cell qualifies). Requires x to
   // be the fastest-varying axis; on any other layout everything stays on
   // the (still exact) edge path.
   std::vector<std::uint8_t> covered(n, 0);
-  if (plan->fused_ok && (plan->axis_stride[0] == 1 || nx == 1)) {
+  if (plan->axis_stride[0] == 1 || nx == 1) {
     const std::ptrdiff_t sy = plan->axis_stride[1];
     const std::ptrdiff_t sz = plan->axis_stride[2];
     for (std::size_t z = 0; z < nz; ++z) {
@@ -206,25 +202,24 @@ std::unique_ptr<KernelPlan> build_plan(
     for (std::uint32_t& c : op.cells) c = slot_of[c];
   }
 
-  if (plan->fused_ok && antennas > 0) {
-    plan->antenna_bits.assign(slots, 0);
-    std::uint8_t bit = 1;
-    for (TermOp& op : plan->ops) {
-      if (op.kind != OpKind::kAntenna) continue;
-      op.gate.assign(slots, 0.0);
-      for (const std::uint32_t s : op.cells) {
-        plan->antenna_bits[s] |= bit;
-        op.gate[s] = 1.0;
-      }
-      for (auto& run : plan->runs) {
-        for (std::size_t s = run.s; s < run.s + (run.e - run.b); ++s) {
-          if (op.gate[s] != 0.0) {
-            run.antenna |= bit;
-            break;
-          }
+  // Each antenna's per-slot gate, and its coverage bit on every run it
+  // drives (the first 64 antennas; later ones have no bit and select on
+  // their gate in every run).
+  std::uint64_t bit = 1;
+  for (TermOp& op : plan->ops) {
+    if (op.kind != OpKind::kAntenna) continue;
+    op.gate.assign(slots, 0.0);
+    for (const std::uint32_t s : op.cells) op.gate[s] = 1.0;
+    op.bit = bit;
+    bit <<= 1;
+    if (op.bit == 0) continue;
+    for (auto& run : plan->runs) {
+      for (std::size_t s = run.s; s < run.s + (run.e - run.b); ++s) {
+        if (op.gate[s] != 0.0) {
+          run.antenna |= op.bit;
+          break;
         }
       }
-      bit = static_cast<std::uint8_t>(bit << 1);
     }
   }
 

@@ -24,9 +24,9 @@
 //     operation sequence, so the split is invisible in the output bytes;
 //   * the lowered TermOps in term order, plus per-op metric counters for
 //     the sampled "mag.term.<name>.us" attribution;
-//   * per-slot antenna coverage bitmask (bit a = cell driven by the a-th
-//     antenna op) for the edge path, and per-run coverage bits so runs
-//     outside every antenna region skip the term entirely.
+//   * per antenna op, a per-slot 1.0/0.0 gate that every sweep selects
+//     on, and per-run coverage bits (one per antenna, the first 64) so
+//     runs outside an antenna's region skip that op entirely.
 //
 // build_plan returns nullptr when any term refuses to compile; the solver
 // then stays on the scalar reference path for this term set.
@@ -72,14 +72,14 @@ struct KernelPlan {
   // active with all existing-axis neighbours active. nb[2a] / nb[2a + 1]
   // is the slot of the -axis / +axis neighbour of the run's first cell;
   // the neighbour of cell b + k sits at nb[...] + k (unused axes, and
-  // runs without an exchange op, hold s). `antenna` has bit a set when
-  // the a-th antenna op drives at least one cell of the run.
+  // runs without an exchange op, hold s). `antenna` holds the TermOp::bit
+  // of every antenna op that drives at least one cell of the run.
   struct Run {
     std::uint32_t b = 0;
     std::uint32_t e = 0;
     std::uint32_t s = 0;
     std::uint32_t nb[6] = {0, 0, 0, 0, 0, 0};
-    std::uint8_t antenna = 0;
+    std::uint64_t antenna = 0;
   };
   std::vector<Run> runs;
   std::vector<std::uint64_t> run_prefix;  // runs.size()+1 cumulative lengths
@@ -88,12 +88,6 @@ struct KernelPlan {
 
   std::vector<TermOp> ops;             // term order
   std::vector<obs::Counter*> op_us;    // "mag.term.<name>.us", per op
-
-  // Fused-sweep antenna coverage; valid iff fused_ok (at most 8 antennas,
-  // one bit each). With more antennas the context falls back to per-term
-  // kernel sweeps, which are still bit-exact and index-list driven.
-  std::vector<std::uint8_t> antenna_bits;  // per slot
-  bool fused_ok = false;
 
   std::size_t slots() const { return active.size(); }
 

@@ -11,37 +11,13 @@
 
 namespace swsim::mag::kernels {
 
-void axpy(SoaVec& out, const SoaVec& base, double s, const SoaVec& k,
-          std::size_t b, std::size_t e) {
-  double* __restrict ox = out.x.data();
-  double* __restrict oy = out.y.data();
-  double* __restrict oz = out.z.data();
-  const double* __restrict bx = base.x.data();
-  const double* __restrict by = base.y.data();
-  const double* __restrict bz = base.z.data();
-  const double* __restrict kx = k.x.data();
-  const double* __restrict ky = k.y.data();
-  const double* __restrict kz = k.z.data();
-  for (std::size_t i = b; i < e; ++i) {
-    ox[i] = bx[i] + kx[i] * s;
-    oy[i] = by[i] + ky[i] * s;
-    oz[i] = bz[i] + kz[i] * s;
-  }
-}
-
 double err_max_range(double h, const double (&c)[5],
                      const SoaVec* const (&k)[5], std::size_t b,
                      std::size_t e) {
   double worst = 0.0;
   for (std::size_t i = b; i < e; ++i) {
-    double ax = k[0]->x[i] * c[0];
-    double ay = k[0]->y[i] * c[0];
-    double az = k[0]->z[i] * c[0];
-    for (int j = 1; j < 5; ++j) {
-      ax += k[j]->x[i] * c[j];
-      ay += k[j]->y[i] * c[j];
-      az += k[j]->z[i] * c[j];
-    }
+    double ax, ay, az;
+    weighted_sum(c, k, i, ax, ay, az);
     const double dx = ax * h, dy = ay * h, dz = az * h;
     const double nrm = std::sqrt(dx * dx + dy * dy + dz * dz);
     worst = std::max(worst, nrm);
@@ -178,38 +154,79 @@ inline void llg_lanes(V mx, V my, V mz, V hx, V hy, V hz, V alpha, V pref,
   oz = (cz + tz * alpha) * pref;
 }
 
-// One interior block of V::kWidth cells at offset k of `run`: accumulate
-// every op in term order, then the rhs. Interior cells have every
-// existing-axis neighbour in bounds and active, and each neighbour span is
-// contiguous in slot order, so exchange reads m at span base + k directly.
-template <class V>
-inline void fused_block(const KernelPlan& p, const double* __restrict mx,
-                        const double* __restrict my,
-                        const double* __restrict mz, const EvalOp* ops,
-                        std::size_t nops, const KernelPlan::Run& run,
-                        double* __restrict ox, double* __restrict oy,
-                        double* __restrict oz, std::size_t k) {
-  const std::size_t s = run.s + k;
+// The two neighbour addressings of the per-cell kernel. An interior run's
+// neighbour spans are contiguous slot ranges, so the neighbour of run
+// offset k sits at the span base + k, and a lane block of cells loads
+// each neighbour span stride-1. An edge slot reads its six-entry
+// neighbour-slot table, whose self-slot entries stand in for absent
+// neighbours. skips() is the run-level antenna shortcut: a run outside an
+// antenna's region skips the op, which its all-zero gate would make a
+// no-op anyway; an op without a coverage bit is never skipped.
+struct RunCells {
+  const KernelPlan::Run& run;
+  std::size_t k;  // offset in the run
+  std::size_t slot() const { return run.s + k; }
+  std::size_t lo(int a) const { return run.nb[2 * a] + k; }
+  std::size_t hi(int a) const { return run.nb[2 * a + 1] + k; }
+  bool skips(std::uint64_t bit) const { return (bit & ~run.antenna) != 0; }
+};
+
+struct EdgeCell {
+  const std::uint32_t* nb;  // the plan's neighbour-slot table
+  std::size_t s;
+  std::size_t slot() const { return s; }
+  std::size_t lo(int a) const { return nb[6 * s + 2 * a]; }
+  std::size_t hi(int a) const { return nb[6 * s + 2 * a + 1]; }
+  static bool skips(std::uint64_t) { return false; }
+};
+
+// Everything one sweep reads besides the cell position.
+struct Sweep {
+  const KernelPlan& p;
+  const double* mx;
+  const double* my;
+  const double* mz;
+  const EvalOp* ops;
+  std::size_t nops;
+  const SweepIo& io;
+};
+
+// The one per-cell kernel, for one lane block of V::kWidth cells at
+// c.slot(): start the field (+0.0, or the field buffer), add every op in
+// term order, then store the field or the LLG rhs. Each op's arithmetic is
+// written here once; every sweep of the kernel path runs it.
+template <class V, class Cells>
+inline void cell_block(const Sweep& w, const Cells& c) {
+  const KernelPlan& p = w.p;
+  const double* __restrict mx = w.mx;
+  const double* __restrict my = w.my;
+  const double* __restrict mz = w.mz;
+  const std::size_t s = c.slot();
   const V mix = V::load(mx + s);
   const V miy = V::load(my + s);
   const V miz = V::load(mz + s);
   V hx = V::zero(), hy = V::zero(), hz = V::zero();
-  for (std::size_t o = 0; o < nops; ++o) {
-    const EvalOp& op = ops[o];
+  if (const SoaVec* in = w.io.h_in) {
+    hx = V::load(in->x.data() + s);
+    hy = V::load(in->y.data() + s);
+    hz = V::load(in->z.data() + s);
+  }
+  for (std::size_t o = 0; o < w.nops; ++o) {
+    const EvalOp& op = w.ops[o];
     switch (op.kind) {
       case OpKind::kExchange: {
         V lx = V::zero(), ly = V::zero(), lz = V::zero();
         for (int a = 0; a < 3; ++a) {
           if (!p.axis_used[a]) continue;
-          const std::size_t lo = run.nb[2 * a] + k;
-          const std::size_t hi = run.nb[2 * a + 1] + k;
-          const V w = V::set1(p.inv_d2[a]);
-          lx = lx + (V::load(mx + lo) - mix) * w;
-          ly = ly + (V::load(my + lo) - miy) * w;
-          lz = lz + (V::load(mz + lo) - miz) * w;
-          lx = lx + (V::load(mx + hi) - mix) * w;
-          ly = ly + (V::load(my + hi) - miy) * w;
-          lz = lz + (V::load(mz + hi) - miz) * w;
+          const std::size_t lo = c.lo(a);
+          const std::size_t hi = c.hi(a);
+          const V wa = V::set1(p.inv_d2[a]);
+          lx = lx + (V::load(mx + lo) - mix) * wa;
+          ly = ly + (V::load(my + lo) - miy) * wa;
+          lz = lz + (V::load(mz + lo) - miz) * wa;
+          lx = lx + (V::load(mx + hi) - mix) * wa;
+          ly = ly + (V::load(my + hi) - miy) * wa;
+          lz = lz + (V::load(mz + hi) - miz) * wa;
         }
         const V pref = V::set1(op.pref);
         hx = hx + lx * pref;
@@ -237,8 +254,8 @@ inline void fused_block(const KernelPlan& p, const double* __restrict mx,
         hz = hz + V::set1(op.dz);
         break;
       case OpKind::kAntenna:
-        if (!op.skip && (run.antenna & op.bit)) {
-          const V g = V::load(op.gate->data() + s);
+        if (!op.skip && !c.skips(op.bit)) {
+          const V g = V::load(op.gate + s);
           hx = V::gated_add(hx, g, V::set1(op.dx));
           hy = V::gated_add(hy, g, V::set1(op.dy));
           hz = V::gated_add(hz, g, V::set1(op.dz));
@@ -254,12 +271,18 @@ inline void fused_block(const KernelPlan& p, const double* __restrict mx,
         break;
     }
   }
+  if (SoaVec* out = w.io.h_out) {
+    hx.store(out->x.data() + s);
+    hy.store(out->y.data() + s);
+    hz.store(out->z.data() + s);
+    return;
+  }
   V rx, ry, rz;
   llg_lanes(mix, miy, miz, hx, hy, hz, V::load(p.alpha.data() + s),
             V::load(p.llg_pref.data() + s), rx, ry, rz);
-  rx.store(ox + s);
-  ry.store(oy + s);
-  rz.store(oz + s);
+  rx.store(w.io.dmdt->x.data() + s);
+  ry.store(w.io.dmdt->y.data() + s);
+  rz.store(w.io.dmdt->z.data() + s);
 }
 
 // math::normalized on one lane-block of slots starting at s:
@@ -276,177 +299,31 @@ inline void renorm_block(double* __restrict x, double* __restrict y,
 
 }  // namespace
 
-void fused_run(const KernelPlan& p, const SoaVec& m,
-               const std::vector<EvalOp>& ops, SoaVec& dmdt,
-               const KernelPlan::Run& run, std::size_t kb, std::size_t ke) {
-  const double* mx = m.x.data();
-  const double* my = m.y.data();
-  const double* mz = m.z.data();
-  double* ox = dmdt.x.data();
-  double* oy = dmdt.y.data();
-  double* oz = dmdt.z.data();
-  const EvalOp* op0 = ops.data();
-  const std::size_t nops = ops.size();
-  std::size_t k = kb;
-  for (; k + SimdLane::kWidth <= ke; k += SimdLane::kWidth) {
-    fused_block<SimdLane>(p, mx, my, mz, op0, nops, run, ox, oy, oz, k);
-  }
-  for (; k < ke; ++k) {
-    fused_block<ScalarLane>(p, mx, my, mz, op0, nops, run, ox, oy, oz, k);
-  }
-}
-
-void fused_edge(const KernelPlan& p, const SoaVec& m,
-                const std::vector<EvalOp>& ops, SoaVec& dmdt, std::size_t eb,
-                std::size_t ee) {
-  const std::uint32_t* edge = p.edge_slots.data();
-  const double* mx = m.x.data();
-  const double* my = m.y.data();
-  const double* mz = m.z.data();
-  const EvalOp* op0 = ops.data();
-  const std::size_t nops = ops.size();
-  for (std::size_t j = eb; j < ee; ++j) {
-    const std::size_t s = edge[j];
-    const double mix = mx[s], miy = my[s], miz = mz[s];
-    double hx = 0.0, hy = 0.0, hz = 0.0;
-    for (std::size_t o = 0; o < nops; ++o) {
-      const EvalOp& op = op0[o];
-      switch (op.kind) {
-        case OpKind::kExchange: {
-          const std::uint32_t* nbp = &p.nb[6 * s];
-          double lx = 0.0, ly = 0.0, lz = 0.0;
-          for (int k = 0; k < 6; ++k) {
-            const std::size_t s2 = nbp[k];
-            const double w = p.inv_d2[k >> 1];
-            lx += (mx[s2] - mix) * w;
-            ly += (my[s2] - miy) * w;
-            lz += (mz[s2] - miz) * w;
-          }
-          hx += lx * op.pref;
-          hy += ly * op.pref;
-          hz += lz * op.pref;
-          break;
-        }
-        case OpKind::kAnisotropy: {
-          const double d = mix * op.ax + miy * op.ay + miz * op.az;
-          const double sc = op.pref * d;
-          hx += op.ax * sc;
-          hy += op.ay * sc;
-          hz += op.az * sc;
-          break;
-        }
-        case OpKind::kThinFilmDemag:
-          hz -= p.ms[s] * miz;
-          break;
-        case OpKind::kUniformZeeman:
-          hx += op.dx;
-          hy += op.dy;
-          hz += op.dz;
-          break;
-        case OpKind::kAntenna:
-          if (!op.skip && (p.antenna_bits[s] & op.bit)) {
-            hx += op.dx;
-            hy += op.dy;
-            hz += op.dz;
-          }
-          break;
-        case OpKind::kThermal:
-          if (!op.skip) {
-            hx += op.pref * op.noise->x[s];
-            hy += op.pref * op.noise->y[s];
-            hz += op.pref * op.noise->z[s];
-          }
-          break;
+void sweep(const KernelPlan& p, const SoaVec& m, const EvalOp* ops,
+           std::size_t nops, const SweepIo& io, std::size_t b,
+           std::size_t e) {
+  const Sweep w{p, m.x.data(), m.y.data(), m.z.data(), ops, nops, io};
+  const std::size_t interior = p.interior_total;
+  if (b < interior) {
+    const std::size_t ie = std::min(e, interior);
+    const auto& pre = p.run_prefix;
+    std::size_t r = static_cast<std::size_t>(
+        std::upper_bound(pre.begin(), pre.end(), b) - pre.begin() - 1);
+    for (std::size_t pos = b; pos < ie; ++r) {
+      const KernelPlan::Run& run = p.runs[r];
+      std::size_t k = pos - pre[r];
+      const std::size_t ke =
+          std::min<std::size_t>(run.e - run.b, k + (ie - pos));
+      pos += ke - k;
+      for (; k + SimdLane::kWidth <= ke; k += SimdLane::kWidth) {
+        cell_block<SimdLane>(w, RunCells{run, k});
       }
+      for (; k < ke; ++k) cell_block<ScalarLane>(w, RunCells{run, k});
     }
-    ScalarLane rx, ry, rz;
-    llg_lanes(ScalarLane{mix}, ScalarLane{miy}, ScalarLane{miz},
-              ScalarLane{hx}, ScalarLane{hy}, ScalarLane{hz},
-              ScalarLane{p.alpha[s]}, ScalarLane{p.llg_pref[s]}, rx, ry, rz);
-    dmdt.x[s] = rx.v;
-    dmdt.y[s] = ry.v;
-    dmdt.z[s] = rz.v;
   }
-}
-
-void term_sweep(const KernelPlan& p, const SoaVec& m, const EvalOp& op,
-                SoaVec& h, std::size_t sb, std::size_t se) {
-  const double* mx = m.x.data();
-  const double* my = m.y.data();
-  const double* mz = m.z.data();
-  double* hx = h.x.data();
-  double* hy = h.y.data();
-  double* hz = h.z.data();
-  switch (op.kind) {
-    case OpKind::kExchange:
-      for (std::size_t s = sb; s < se; ++s) {
-        const double mix = mx[s], miy = my[s], miz = mz[s];
-        const std::uint32_t* nbp = &p.nb[6 * s];
-        double lx = 0.0, ly = 0.0, lz = 0.0;
-        for (int k = 0; k < 6; ++k) {
-          const std::size_t s2 = nbp[k];
-          const double w = p.inv_d2[k >> 1];
-          lx += (mx[s2] - mix) * w;
-          ly += (my[s2] - miy) * w;
-          lz += (mz[s2] - miz) * w;
-        }
-        hx[s] += lx * op.pref;
-        hy[s] += ly * op.pref;
-        hz[s] += lz * op.pref;
-      }
-      break;
-    case OpKind::kAnisotropy:
-      for (std::size_t s = sb; s < se; ++s) {
-        const double d = mx[s] * op.ax + my[s] * op.ay + mz[s] * op.az;
-        const double sc = op.pref * d;
-        hx[s] += op.ax * sc;
-        hy[s] += op.ay * sc;
-        hz[s] += op.az * sc;
-      }
-      break;
-    case OpKind::kThinFilmDemag:
-      for (std::size_t s = sb; s < se; ++s) hz[s] -= p.ms[s] * mz[s];
-      break;
-    case OpKind::kUniformZeeman:
-      for (std::size_t s = sb; s < se; ++s) {
-        hx[s] += op.dx;
-        hy[s] += op.dy;
-        hz[s] += op.dz;
-      }
-      break;
-    case OpKind::kAntenna:
-      // Region slot list, not the slot range: the drive's whole point is
-      // to touch only the cells the antenna powers.
-      if (!op.skip) {
-        for (const std::uint32_t s : *op.cells) {
-          hx[s] += op.dx;
-          hy[s] += op.dy;
-          hz[s] += op.dz;
-        }
-      }
-      break;
-    case OpKind::kThermal:
-      if (!op.skip) {
-        for (std::size_t s = sb; s < se; ++s) {
-          hx[s] += op.pref * op.noise->x[s];
-          hy[s] += op.pref * op.noise->y[s];
-          hz[s] += op.pref * op.noise->z[s];
-        }
-      }
-      break;
-  }
-}
-
-void rhs_sweep(const KernelPlan& p, const SoaVec& m, const SoaVec& h,
-               SoaVec& dmdt, std::size_t sb, std::size_t se) {
-  for (std::size_t s = sb; s < se; ++s) {
-    ScalarLane rx, ry, rz;
-    llg_lanes(ScalarLane{m.x[s]}, ScalarLane{m.y[s]}, ScalarLane{m.z[s]},
-              ScalarLane{h.x[s]}, ScalarLane{h.y[s]}, ScalarLane{h.z[s]},
-              ScalarLane{p.alpha[s]}, ScalarLane{p.llg_pref[s]}, rx, ry, rz);
-    dmdt.x[s] = rx.v;
-    dmdt.y[s] = ry.v;
-    dmdt.z[s] = rz.v;
+  for (std::size_t j = std::max(b, interior); j < e; ++j) {
+    const std::size_t s = p.edge_slots[j - interior];
+    cell_block<ScalarLane>(w, EdgeCell{p.nb.data(), s});
   }
 }
 

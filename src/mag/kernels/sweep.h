@@ -9,11 +9,9 @@
 // argument; tests/test_mag_kernels.cpp holds it to byte identity.
 //
 // All state is slot-indexed (KernelPlan::active) and all ranges are
-// half-open. "slot" ranges index the state arrays directly, "edge" ranges
-// index plan.edge_slots, run offsets index one interior run. Callers
-// parallelize by chunking these ranges with fixed grain — the loops only
-// ever write slots inside their own range, so any chunk schedule produces
-// identical bytes.
+// half-open. Callers parallelize by chunking the ranges with fixed grain —
+// the loops only ever write slots inside their own range, so any chunk
+// schedule produces identical bytes.
 #pragma once
 
 #include <cstddef>
@@ -33,21 +31,38 @@ struct EvalOp {
   double ax = 0, ay = 0, az = 0;  // anisotropy axis
   double dx = 0, dy = 0, dz = 0;  // zeeman field or antenna drive at t
   bool skip = false;              // antenna with env(t) == 0, silent thermal
-  std::uint8_t bit = 0;           // antenna coverage bit in plan.antenna_bits
-  const std::vector<std::uint32_t>* cells = nullptr;  // antenna region list
-  const std::vector<double>* gate = nullptr;          // antenna 1.0/0.0 mask
+  std::uint64_t bit = 0;          // antenna: TermOp::bit
+  const double* gate = nullptr;   // antenna: per-slot 1.0/0.0 coverage
   const SoaVec* noise = nullptr;  // thermal: this step's per-slot draw
 };
 
-// out = base + k * s, slot range [b, e). Matches "base[i] + s_expr * k[i]"
-// where the reference computed the double s first (s_expr collapses to s).
-void axpy(SoaVec& out, const SoaVec& base, double s, const SoaVec& k,
-          std::size_t b, std::size_t e);
+// Where a sweep's per-cell field starts and where it goes. The fused
+// evaluation starts every cell at +0.0 and applies the LLG rhs into dmdt.
+// The sampled attribution runs one op per sweep from and into the field
+// buffer, then a sweep with no ops from that buffer into dmdt.
+struct SweepIo {
+  const SoaVec* h_in = nullptr;  // nullptr: accumulators start at +0.0
+  SoaVec* h_out = nullptr;       // non-null: store the field here...
+  SoaVec* dmdt = nullptr;        // ...otherwise the LLG rhs here
+};
 
-// out = base + (c0*k0 + c1*k1 + ...) * h, slot range [b, e), inner sum
-// left-associated — the shape of every multi-k stage combination in the
-// reference steppers (a coefficient of exactly 1.0 reproduces a bare
-// "k[i]" operand: x * 1.0 == x bitwise).
+// c0*k0[i] + c1*k1[i] + ..., left-associated, per component.
+template <int N>
+inline void weighted_sum(const double (&c)[N], const SoaVec* const (&k)[N],
+                         std::size_t i, double& ax, double& ay, double& az) {
+  ax = k[0]->x[i] * c[0];
+  ay = k[0]->y[i] * c[0];
+  az = k[0]->z[i] * c[0];
+  for (int j = 1; j < N; ++j) {  // N is a constant: fully unrolled
+    ax += k[j]->x[i] * c[j];
+    ay += k[j]->y[i] * c[j];
+    az += k[j]->z[i] * c[j];
+  }
+}
+
+// out = base + (c0*k0 + c1*k1 + ...) * h, slot range [b, e) — the shape
+// of every stage combination in the reference steppers (a coefficient of
+// exactly 1.0 reproduces a bare "k[i]" operand: x * 1.0 == x bitwise).
 template <int N>
 void combine_range(SoaVec& out, const SoaVec& base, double h,
                    const double (&c)[N], const SoaVec* const (&k)[N],
@@ -59,14 +74,8 @@ void combine_range(SoaVec& out, const SoaVec& base, double h,
   const double* by = base.y.data();
   const double* bz = base.z.data();
   for (std::size_t i = b; i < e; ++i) {
-    double ax = k[0]->x[i] * c[0];
-    double ay = k[0]->y[i] * c[0];
-    double az = k[0]->z[i] * c[0];
-    for (int j = 1; j < N; ++j) {  // N is a constant: fully unrolled
-      ax += k[j]->x[i] * c[j];
-      ay += k[j]->y[i] * c[j];
-      az += k[j]->z[i] * c[j];
-    }
+    double ax, ay, az;
+    weighted_sum(c, k, i, ax, ay, az);
     ox[i] = bx[i] + ax * h;
     oy[i] = by[i] + ay * h;
     oz[i] = bz[i] + az * h;
@@ -80,35 +89,15 @@ double err_max_range(double h, const double (&c)[5],
                      const SoaVec* const (&k)[5], std::size_t b,
                      std::size_t e);
 
-// Fused field + LLG-rhs sweep over offsets [kb, ke) of one interior run:
-// per cell, accumulate every op's field in term order into registers,
-// then apply the LLG right-hand side, writing dmdt at that slot only.
-// Interior cells address exchange neighbours as the run's span bases plus
-// the offset (no tables) and process SIMD-width blocks of cells at once.
-// Ops whose antenna bit is clear in run.antenna are skipped for the whole
-// range (identical to the reference never touching those cells).
-void fused_run(const KernelPlan& p, const SoaVec& m,
-               const std::vector<EvalOp>& ops, SoaVec& dmdt,
-               const KernelPlan::Run& run, std::size_t kb, std::size_t ke);
-
-// Scalar companion of fused_run for edge slots [eb, ee) (indices into
-// plan.edge_slots): same per-cell op order, exchange via the six-entry
-// neighbour-slot table, antenna via the per-slot coverage bits.
-void fused_edge(const KernelPlan& p, const SoaVec& m,
-                const std::vector<EvalOp>& ops, SoaVec& dmdt, std::size_t eb,
-                std::size_t ee);
-
-// Per-term path (sampled timing attribution): one op accumulated into the
-// SoA field buffer h over slots [sb, se) (antenna ops iterate their
-// region slot list instead and ignore the range — callers pass the full
-// range exactly once).
-void term_sweep(const KernelPlan& p, const SoaVec& m, const EvalOp& op,
-                SoaVec& h, std::size_t sb, std::size_t se);
-
-// LLG right-hand side from an accumulated field buffer, slots [sb, se)
-// (companion of term_sweep; the fused sweeps fold this in).
-void rhs_sweep(const KernelPlan& p, const SoaVec& m, const SoaVec& h,
-               SoaVec& dmdt, std::size_t sb, std::size_t se);
+// The field sweep over positions [b, e) of the plan's cell order: interior
+// run cells in run-table order (positions [0, interior_total)), then edge
+// slots. Per cell: start the field per io, add ops[0..nops) in order, then
+// store the field or the LLG rhs at that slot only. Interior cells take
+// SIMD-width blocks and address exchange neighbours as span base + offset;
+// edge cells and run remainders take the same per-cell code one cell at a
+// time, edge cells through the six-entry neighbour-slot table.
+void sweep(const KernelPlan& p, const SoaVec& m, const EvalOp* ops,
+           std::size_t nops, const SweepIo& io, std::size_t b, std::size_t e);
 
 // m[s] = normalized(m[s]) over slots [b, e): v / |v| for |v| > 0, else v
 // unchanged (NaN stays NaN), exactly math::normalized.

@@ -57,12 +57,14 @@ struct TermOp {
   // compile_kernel fills grid indices; build_plan rewrites them to slots.
   std::vector<std::uint32_t> cells;
 
-  // Antenna only, filled by build_plan when the fused sweep is usable: a
-  // per-slot 1.0/0.0 coverage vector. The SIMD fused sweep turns the
-  // per-cell region branch into a lane select against this array, which
-  // keeps whole-vector blocks branchless while leaving undriven lanes'
-  // field bits untouched.
+  // Antenna only, filled by build_plan: a per-slot 1.0/0.0 coverage
+  // vector. The sweep turns the per-cell region branch into a lane select
+  // against this array, which keeps whole-vector blocks branchless while
+  // leaving undriven lanes' field bits untouched. `bit` is the op's
+  // coverage bit in KernelPlan::Run::antenna (the a-th antenna gets
+  // 1 << a), 0 past the 64th antenna: such an op is never skipped.
   std::vector<double> gate;
+  std::uint64_t bit = 0;
 };
 
 }  // namespace swsim::mag::kernels

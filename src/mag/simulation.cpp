@@ -286,12 +286,18 @@ void Simulation::run(double duration) {
 
 robust::Status Simulation::run_guarded(double duration) {
   // Checkpoint everything a failed attempt mutates: the magnetization, the
-  // clock, the probe records, and the convergence trackers riding on them.
+  // clock, the probe records, the convergence trackers riding on them, and
+  // the terms' step-to-step state (the thermal noise stream), so the
+  // replay is the solve a clean start at the smaller step would make.
   // The attempt's physics-registry counts are retracted on rewind.
-  // Field terms are stateless across steps for the conservative physics;
-  // stochastic terms redraw per step anyway.
   const VectorField m0 = m_;
   const double t0 = time_;
+  std::vector<std::function<void()>> term_cps;
+  for (const auto& term : terms_) {
+    if (auto restore = term->checkpoint()) {
+      term_cps.push_back(std::move(restore));
+    }
+  }
   std::vector<RegionProbe::Checkpoint> probe_cps;
   probe_cps.reserve(probes_.size());
   for (const auto& p : probes_) probe_cps.push_back(p->checkpoint());
@@ -327,6 +333,7 @@ robust::Status Simulation::run_guarded(double duration) {
       // Rewind and re-solve the interval at half the step size.
       m_ = m0;
       time_ = t0;
+      for (const auto& restore : term_cps) restore();
       for (std::size_t i = 0; i < probes_.size(); ++i) {
         probes_[i]->restore(probe_cps[i]);
       }
@@ -351,7 +358,10 @@ double Simulation::relax(double max_time, double torque_tol,
   System relax_sys(system_.grid(), relax_mat, system_.mask());
   relax_sys.set_ms_scale(system_.ms_scale());
 
-  Stepper stepper(StepperKind::kRk4, swsim::math::ps(0.1));
+  // At most 0.1 ps, inside RK4's stability bound on this mesh.
+  Stepper stepper(StepperKind::kRk4,
+                  bounded_step(relax_sys, terms_, StepperKind::kRk4,
+                               swsim::math::ps(0.1)));
   double t = 0.0;
   double torque = max_torque();
   while (t < max_time && torque > torque_tol) {

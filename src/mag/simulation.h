@@ -92,7 +92,8 @@ class Simulation {
   void run(double duration);
 
   // Fault-tolerant run: on kNumericalDivergence the state (magnetization,
-  // clock, probe records) is rewound to the call point, the step size is
+  // clock, probe records, the terms' noise streams) is rewound to the call
+  // point, the step size is
   // halved, and the interval is re-solved — up to
   // watchdog().max_step_halvings times. Returns kOk on success (possibly
   // after retries), otherwise the final failure Status; cancellation and

@@ -107,6 +107,13 @@ StabilityBound stability_bound(
   return b;
 }
 
+double bounded_step(const System& sys,
+                    const std::vector<std::unique_ptr<FieldTerm>>& terms,
+                    StepperKind kind, double ceiling) {
+  return std::min(ceiling,
+                  kStabilityFraction * stability_bound(sys, terms).dt_max(kind));
+}
+
 robust::Status check_step(const StabilityBound& bound, StepperKind kind,
                           double dt) {
   const double limit = bound.dt_max(kind);

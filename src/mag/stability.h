@@ -48,6 +48,19 @@ struct StabilityBound {
 StabilityBound stability_bound(
     const System& sys, const std::vector<std::unique_ptr<FieldTerm>>& terms);
 
+// The share of a fixed step's stability bound that bounded_step takes:
+// margin for the bound's linearization. The 4 nm gate's 0.5 ps default
+// stays inside it (0.6 x 0.948 ps = 0.569 ps).
+constexpr double kStabilityFraction = 0.6;
+
+// min(ceiling, kStabilityFraction x the `kind` bound of this system and
+// term set): the step a solve takes when it asks for at most `ceiling`,
+// so a finer mesh takes proportionally finer steps by itself. RKF45 has
+// no fixed bound and gets `ceiling`.
+double bounded_step(const System& sys,
+                    const std::vector<std::unique_ptr<FieldTerm>>& terms,
+                    StepperKind kind, double ceiling);
+
 // kInvalidConfig naming the stepper, dt, its bound and omega_max when a
 // fixed step exceeds the bound; ok otherwise. The status is deterministic
 // in its inputs, so it is never retryable.

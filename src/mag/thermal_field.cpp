@@ -65,6 +65,10 @@ bool ThermalField::compile_kernel(const System&, kernels::TermOp& op) const {
   return true;
 }
 
+std::function<void()> ThermalField::checkpoint() {
+  return [this, saved = *this] { *this = saved; };
+}
+
 void ThermalField::advance_step(double dt) {
   dt_ = dt;
   // Force a fresh noise draw at the next evaluation.

@@ -29,6 +29,8 @@ class ThermalField final : public FieldTerm {
   void accumulate(const System& sys, const VectorField& m, double t,
                   VectorField& h) override;
   void advance_step(double dt) override;
+  // Restores the RNG, the step and the drawn noise.
+  std::function<void()> checkpoint() override;
   bool compile_kernel(const System& sys, kernels::TermOp& op) const override;
 
   double temperature() const { return temperature_; }

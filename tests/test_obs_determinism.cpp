@@ -98,7 +98,7 @@ TEST(ObsDeterminism, ArmedSinksLeaveLlgTruthTableByteIdentical) {
   EXPECT_EQ(traced, plain);
 
   // The armed solve was observed: solver spans, and LLG steps and field
-  // evaluations counted (every 16th eval ran the timed per-term sweeps).
+  // evaluations counted (every 64th eval ran the timed per-op sweeps).
   auto& reg = obs::MetricsRegistry::global();
   EXPECT_GT(obs::TraceSession::global().event_count(), 0u);
   EXPECT_GT(reg.counter("mag.llg.steps").value(), 0u);
