@@ -6,14 +6,17 @@
 // the reduced-scale micromagnetic XOR gate:
 //
 //   1. Thermal noise: full truth table at T = 0 / 150 / 300 K.
-//   2. Edge roughness: amplitude sweep until the gate breaks.
+//   2. Edge roughness: amplitude sweep over several realizations until
+//      one of them breaks the gate.
 //   3. Trapezoidal cross-section: effective-width model impact on the
 //      dispersion operating point.
 //
 // Runtime: a couple dozen LLG runs; a few minutes.
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <optional>
+#include <string>
 
 #include "bench/harness.h"
 #include "core/logic.h"
@@ -94,31 +97,51 @@ int main(int argc, char** argv) {
                "analysis to refs. [36][43] (different devices/materials)\n"
             << "and future work.\n\n";
 
-  // 2. Edge roughness sweep.
-  std::cout << "2. edge roughness (amplitude sweep, correlation 10 nm)\n\n";
-  Table rough({"roughness amplitude (nm)", "truth table", "worst margin"});
+  // 2. Edge roughness sweep. One realization's pass/fail is seed luck, so
+  // each amplitude runs kRoughSeeds realizations; the break is the first
+  // amplitude where any of them fails.
+  constexpr int kRoughSeeds = 5;
+  std::cout << "2. edge roughness (amplitude sweep, correlation 10 nm, "
+            << kRoughSeeds << " realizations per amplitude)\n\n";
+  Table rough({"roughness amplitude (nm)", "realizations passing",
+               "worst margin", "|O1-O2| max"});
   double break_at = -1.0;
   const auto rough_t0 = std::chrono::steady_clock::now();
   for (double amp_nm : {0.0, 2.0, 4.0, 6.0}) {
-    auto cfg = base_config();
-    if (amp_nm > 0.0) {
-      geom::RoughnessParams rp;
-      rp.amplitude = nm(amp_nm);
-      rp.correlation_length = nm(10);
-      rp.seed = 2026;
-      cfg.roughness = rp;
+    // A smooth guide is one realization whatever the seed.
+    const int seeds = amp_nm > 0.0 ? kRoughSeeds : 1;
+    int passed = 0;
+    XorResult worst;
+    for (int k = 0; k < seeds; ++k) {
+      auto cfg = base_config();
+      if (amp_nm > 0.0) {
+        geom::RoughnessParams rp;
+        rp.amplitude = nm(amp_nm);
+        rp.correlation_length = nm(10);
+        rp.seed = 2026 + k;
+        cfg.roughness = rp;
+      }
+      const XorResult r = run_xor(cfg);
+      if (r.pass) ++passed;
+      worst.worst_margin = std::min(worst.worst_margin, r.worst_margin);
+      worst.asymmetry = std::max(worst.asymmetry, r.asymmetry);
     }
-    const XorResult r = run_xor(cfg);
-    if (!r.pass && break_at < 0.0) break_at = amp_nm;
-    rough.add_row({Table::num(amp_nm, 0), r.pass ? "PASS" : "FAIL",
-                   Table::num(r.worst_margin, 3)});
-    csv.write_row({"roughness", Table::num(amp_nm, 1), r.pass ? "1" : "0",
-                   Table::num(r.worst_margin, 4), Table::num(r.asymmetry, 4)});
+    const double pass_frac = static_cast<double>(passed) / seeds;
+    if (passed < seeds && break_at < 0.0) break_at = amp_nm;
+    rough.add_row({Table::num(amp_nm, 0),
+                   std::to_string(passed) + "/" + std::to_string(seeds),
+                   Table::num(worst.worst_margin, 3),
+                   Table::num(worst.asymmetry, 3)});
+    csv.write_row({"roughness", Table::num(amp_nm, 1),
+                   Table::num(pass_frac, 2),
+                   Table::num(worst.worst_margin, 4),
+                   Table::num(worst.asymmetry, 4)});
   }
   harness.record_samples("roughness_sweep", "s", {seconds_since(rough_t0)});
   std::cout << rough.str();
   if (break_at >= 0.0) {
-    std::cout << "gate functional up to < " << Table::num(break_at, 0)
+    std::cout << "every realization functional up to < "
+              << Table::num(break_at, 0)
               << " nm edge displacement (waveguide width 20 nm)\n\n";
   } else {
     std::cout << "gate functional across the whole sweep\n\n";

@@ -98,7 +98,7 @@ else
   TSAN_DIR="${BUILD_DIR}-tsan"
   TSAN_TESTS=(test_engine_pool test_engine_cache test_engine_determinism
               test_engine_resilience test_engine_cache_concurrent
-              test_mag_kernels
+              test_mag_kernels test_math_rng
               test_obs_trace test_obs_metrics test_obs_log
               test_obs_determinism
               test_obs_physics

@@ -118,10 +118,10 @@ double step_taken(const core::MicromagGateConfig& c) {
 
 std::uint64_t hash_of(const core::MicromagGateConfig& c) {
   Fnv1a h;
-  // "/3": the key holds the step the gate takes, not the dt ceiling, and
-  // thermal solves moved from Heun to RK4; entries spilled under "/2"
-  // (settled-window readout, raw dt) must never be served again.
-  h.str("MicromagGateConfig/3")
+  // "/4": seeded normal draws (thermal noise, edge roughness) come from the
+  // ziggurat; entries spilled under "/3" hold Box-Muller draws, "/2" the
+  // settled-window readout at raw dt, and must never be served again.
+  h.str("MicromagGateConfig/4")
       .u64(hash_of(c.params))
       .u64(hash_of(c.material))
       .f64(c.film_thickness)
@@ -162,8 +162,10 @@ std::uint64_t hash_of(const core::MicromagGateConfig& c) {
 }
 
 std::uint64_t hash_of(const core::VariabilityModel& m) {
+  // "/2": the transducer disturbances come from the ziggurat normal; trials
+  // spilled under the unversioned tag hold Box-Muller draws.
   return Fnv1a()
-      .str("VariabilityModel")
+      .str("VariabilityModel/2")
       .f64(m.sigma_phase)
       .f64(m.sigma_amplitude)
       .u64(m.seed)

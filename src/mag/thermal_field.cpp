@@ -28,16 +28,13 @@ double ThermalField::sigma(const System& sys, double dt) const {
 const kernels::SoaVec* ThermalField::noise(const System& sys,
                                            double& scale) const {
   if (temperature_ == 0.0 || dt_ == 0.0) return nullptr;
-  if (!noise_ready_ || noise_.size() != sys.magnetic_cell_count()) {
-    const auto& mask = sys.mask();
-    noise_.x.clear();
-    noise_.y.clear();
-    noise_.z.clear();
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      if (!mask[i]) continue;
-      noise_.x.push_back(rng_.normal());
-      noise_.y.push_back(rng_.normal());
-      noise_.z.push_back(rng_.normal());
+  const std::size_t n = sys.magnetic_cell_count();
+  if (!noise_ready_ || noise_.size() != n) {
+    if (noise_.size() != n) noise_.assign_zero(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      noise_.x[s] = rng_.normal();
+      noise_.y[s] = rng_.normal();
+      noise_.z[s] = rng_.normal();
     }
     noise_ready_ = true;
   }

@@ -8,10 +8,10 @@
 // is the standard fixed-step discretization of the thermal torque (MuMax3
 // uses the same expression).
 //
-// The noise is drawn per magnetic cell in ascending grid order — the kernel
-// path's slot order — straight into a slot-indexed SoaVec, so the scalar
-// accumulate() and the lowered kThermal op add the same bytes from the
-// same draws.
+// The noise is drawn slot by slot, (x, y, z) per slot — slot s is the s-th
+// magnetic cell in ascending grid order, the kernel path's slot order —
+// into a slot-indexed SoaVec sized once, so the scalar accumulate() and
+// the lowered kThermal op add the same bytes from the same draws.
 #pragma once
 
 #include "mag/field_term.h"

@@ -6,6 +6,45 @@
 
 namespace swsim::math {
 
+namespace {
+
+// 256-layer ziggurat for the standard normal (Marsaglia & Tsang, J. Stat.
+// Softw. 5(8), 2000), on the unnormalized density f(x) = exp(-x^2 / 2).
+// Layer 0 is the base strip [0, x[0]) x [0, f(R)) — its part beyond R
+// stands for the tail — and layer i >= 1 spans heights [f(x[i]),
+// f(x[i+1])); every layer has area V. Built once, on first use.
+constexpr int kLayers = 256;
+constexpr double kR = 3.6541528853610088;  // right edge of the base strip
+
+struct Ziggurat {
+  double x[kLayers + 1];  // layer edges, x[0] = V / f(R) > x[1] = R > ... > 0
+  double ratio[kLayers];  // x[i+1] / x[i]: fraction of layer i under f
+  double f[kLayers + 1];  // f(x[i])
+
+  Ziggurat() {
+    const double fr = std::exp(-0.5 * kR * kR);
+    // Layer area: the rectangle under f(R) up to R plus the tail beyond.
+    const double v =
+        kR * fr + std::sqrt(0.5 * kPi) * std::erfc(kR / std::sqrt(2.0));
+    x[0] = v / fr;
+    x[1] = kR;
+    for (int i = 2; i < kLayers; ++i) {
+      x[i] = std::sqrt(-2.0 * std::log(v / x[i - 1] +
+                                       std::exp(-0.5 * x[i - 1] * x[i - 1])));
+    }
+    x[kLayers] = 0.0;
+    for (int i = 0; i <= kLayers; ++i) f[i] = std::exp(-0.5 * x[i] * x[i]);
+    for (int i = 0; i < kLayers; ++i) ratio[i] = x[i + 1] / x[i];
+  }
+};
+
+const Ziggurat& ziggurat() {
+  static const Ziggurat z;
+  return z;
+}
+
+}  // namespace
+
 Pcg32::Pcg32(std::uint64_t seed, std::uint64_t stream)
     : state_(0), inc_((stream << 1) | 1u) {
   next_u32();
@@ -32,21 +71,34 @@ double Pcg32::uniform(double lo, double hi) {
 }
 
 double Pcg32::normal() {
-  if (has_cached_) {
-    has_cached_ = false;
-    return cached_;
+  const Ziggurat& z = ziggurat();
+  for (;;) {
+    const std::uint64_t hi = next_u32();
+    const std::uint64_t bits = (hi << 32) | next_u32();
+    // Layer from the low 8 bits, signed value u in [-1, 1) from the top 53
+    // (sign + 52): disjoint bits, so the layer does not leak into the
+    // value (Doornik's fix for RNOR's index/value correlation).
+    const int i = static_cast<int>(bits & 0xFFu);
+    const double u =
+        static_cast<double>(bits >> 11) * (1.0 / 4503599627370496.0) - 1.0;
+    // Inside the layer's core rectangle: under f whatever the height.
+    if (std::fabs(u) < z.ratio[i]) return u * z.x[i];
+    if (i == 0) {
+      // Base strip beyond R: exact exponential-rejection tail (Marsaglia
+      // 1964), uniforms in (0, 1] so the logs stay finite.
+      double t = 0.0;
+      double e = 0.0;
+      do {
+        t = -std::log(1.0 - next_double()) / kR;
+        e = -std::log(1.0 - next_double());
+      } while (2.0 * e < t * t);
+      return u < 0.0 ? -(kR + t) : kR + t;
+    }
+    // Wedge: a uniform height in the layer, kept if it lies under f.
+    const double xv = u * z.x[i];
+    const double y = z.f[i] + next_double() * (z.f[i + 1] - z.f[i]);
+    if (y < std::exp(-0.5 * xv * xv)) return xv;
   }
-  // Box-Muller; reject u1 == 0 to avoid log(0).
-  double u1 = 0.0;
-  do {
-    u1 = next_double();
-  } while (u1 <= 0.0);
-  const double u2 = next_double();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = kTwoPi * u2;
-  cached_ = r * std::sin(theta);
-  has_cached_ = true;
-  return r * std::cos(theta);
 }
 
 std::uint32_t Pcg32::bounded(std::uint32_t bound) {

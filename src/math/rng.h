@@ -5,6 +5,13 @@
 // far better statistical quality than LCGs of the same size. A fixed seed
 // gives bit-identical runs across platforms, which the regression tests rely
 // on.
+//
+// normal() is a 256-layer ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8),
+// 2000) with exact tail and wedge rejection. Each attempt takes two
+// next_u32() calls and draws the layer and the signed value from disjoint
+// bits of them (Doornik 2005). No deviate is cached between calls, so the
+// generator's state is the PCG state alone. The layer tables are shared,
+// read-only, and built on the first normal() call (thread-safe).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +32,7 @@ class Pcg32 {
   // Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  // Standard normal via Box-Muller (cached second deviate).
+  // Standard normal (ziggurat).
   double normal();
 
   // Normal with given mean and standard deviation.
@@ -37,8 +44,6 @@ class Pcg32 {
  private:
   std::uint64_t state_;
   std::uint64_t inc_;
-  bool has_cached_ = false;
-  double cached_ = 0.0;
 };
 
 }  // namespace swsim::math

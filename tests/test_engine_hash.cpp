@@ -126,6 +126,10 @@ TEST(HashOf, MicromagConfigIncludesSeededPhysics) {
   core::MicromagGateConfig base;
   const std::uint64_t key = hash_of(base);
   EXPECT_EQ(key, hash_of(base));
+  // The default config's key under "MicromagGateConfig/3", whose thermal
+  // and roughness draws were Box-Muller: a spilled entry of that stream
+  // must not be served under today's key.
+  EXPECT_NE(key, 0xef0cc155a6781063ULL);
 
   auto c = base;
   c.cell_size *= 1.5;
@@ -178,6 +182,9 @@ TEST(HashOf, VariabilityModel) {
   base.sigma_phase = 0.1;
   base.sigma_amplitude = 0.05;
   const std::uint64_t key = hash_of(base);
+  // This model's key under the unversioned tag, whose trials drew
+  // Box-Muller normals.
+  EXPECT_NE(key, 0x51e5885973326323ULL);
   auto m = base;
   m.seed += 1;
   EXPECT_NE(key, hash_of(m));
